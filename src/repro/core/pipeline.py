@@ -122,7 +122,7 @@ class DrFix:
     def fix_report(self, report: RaceReport,
                    baseline_hashes: Optional[List[str]] = None) -> FixOutcome:
         """Produce (or fail to produce) a validated patch for one race report."""
-        start = time.time()
+        start = time.perf_counter()
         info = self.extractor.extract(report)
         diagnosis = self.diagnoser.diagnose(report)
         outcome = FixOutcome(bug_hash=info.bug_hash, diagnosis=diagnosis)
@@ -132,7 +132,7 @@ class DrFix:
         items = info.ordered_items(self.config)
         if not items:
             outcome.failure_reason = "no candidate fix locations could be extracted from the report"
-            outcome.duration_seconds = time.time() - start
+            outcome.duration_seconds = time.perf_counter() - start
             return outcome
 
         attempt_index = 0
@@ -144,7 +144,7 @@ class DrFix:
             )
             attempt_index += consumed
             if validated:
-                outcome.duration_seconds = time.time() - start
+                outcome.duration_seconds = time.perf_counter() - start
                 outcome.model_calls = self.generator.model_calls
                 outcome.validations = self.validator.validations
                 return outcome
@@ -173,7 +173,7 @@ class DrFix:
                 )
                 attempt_index += consumed
                 if validated:
-                    outcome.duration_seconds = time.time() - start
+                    outcome.duration_seconds = time.perf_counter() - start
                     outcome.model_calls = self.generator.model_calls
                     outcome.validations = self.validator.validations
                     return outcome
@@ -181,7 +181,7 @@ class DrFix:
         outcome.failure_reason = outcome.failure_reason or (
             failure_log[-1] if failure_log else "no applicable fix was produced"
         )
-        outcome.duration_seconds = time.time() - start
+        outcome.duration_seconds = time.perf_counter() - start
         outcome.model_calls = self.generator.model_calls
         outcome.validations = self.validator.validations
         return outcome

@@ -189,6 +189,9 @@ def _op_reorder_decls(draft: _Draft, case: RaceCase, rng: random.Random) -> bool
         order = order[1:] + order[:1]
     funcs = [racy_ast.decls[i] for i in func_slots]
     fixed_funcs = [fixed_ast.decls[i] for i in fixed_slots]
+    # Parsed trees are shared; permute copies of their declaration lists.
+    racy_ast = replace(racy_ast, decls=list(racy_ast.decls))
+    fixed_ast = replace(fixed_ast, decls=list(fixed_ast.decls))
     for slot, which in zip(func_slots, order):
         racy_ast.decls[slot] = funcs[which]
     for slot, which in zip(fixed_slots, order):

@@ -148,7 +148,7 @@ class EvaluationRunner:
         self.store = store
 
     def run(self, cases: Sequence[RaceCase], label: str = "") -> EvaluationRun:
-        start = time.time()
+        start = time.perf_counter()
         cases = list(cases)
         run = EvaluationRun(
             label=label or self.config.model,
@@ -182,7 +182,7 @@ class EvaluationRunner:
         run.results = [r for r in results if r is not None]
         run.cache_misses = len(pending)
         run.cache_hits = len(cases) - len(pending)
-        run.duration_seconds = time.time() - start
+        run.duration_seconds = time.perf_counter() - start
         return run
 
 

@@ -4,10 +4,13 @@ This package implements the portion of the Go language that the Dr.Fix
 reproduction needs in order to parse, analyse, transform, print, and execute
 the racy programs in the corpus:
 
-* :mod:`repro.golang.tokens` / :mod:`repro.golang.lexer` — tokenizer with Go's
-  automatic-semicolon-insertion rule and full source positions.
-* :mod:`repro.golang.ast_nodes` — AST node dataclasses with source spans.
-* :mod:`repro.golang.parser` — recursive-descent parser.
+* :mod:`repro.golang.tokens` / :mod:`repro.golang.lexer` — one-regex tokenizer
+  with Go's automatic-semicolon-insertion rule and full source positions.
+* :mod:`repro.golang.ast_nodes` — AST node dataclasses with source spans, and
+  ``clone`` for the copy a transformation may write.
+* :mod:`repro.golang.parser` — recursive-descent parser; ``parse_file`` parses
+  each distinct text once per process and returns a shared tree that callers
+  never mutate.
 * :mod:`repro.golang.printer` — gofmt-like pretty printer (AST → source).
 * :mod:`repro.golang.symbols` — lexical scopes and capture (free-variable) analysis.
 * :mod:`repro.golang.analysis` — concurrency-construct discovery used by the

@@ -2,15 +2,17 @@
 
 Every node carries a :class:`~repro.golang.tokens.Position` (``pos``) pointing
 at its first token so that the race detector, the skeletonizer, and the
-patcher can all refer back to source lines.  Nodes are plain dataclasses; the
-tree is mutable on purpose — fix strategies transform programs in place before
-pretty-printing them back to source.
+patcher can all refer back to source lines.  Nodes are plain dataclasses.  A
+tree returned by :func:`repro.golang.parser.parse_file` is shared by every
+caller that parses the same text, so it is never written: fix strategies and
+the skeletonizer transform a :func:`clone` and pretty-print that back to
+source.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, List, Optional
+from typing import Iterator, List, Optional, TypeVar
 
 from repro.golang.tokens import Position
 
@@ -35,6 +37,24 @@ class Node:
                 for item in value:
                     if isinstance(item, Node):
                         yield item
+
+
+NodeT = TypeVar("NodeT", bound=Node)
+
+
+def clone(node: NodeT) -> NodeT:
+    """Return a structural copy of ``node``: every node and list is fresh, the
+    immutable leaves (strings, numbers, positions) are shared."""
+    copied = object.__new__(type(node))
+    state = {}
+    for name, value in node.__dict__.items():
+        if isinstance(value, Node):
+            value = clone(value)
+        elif isinstance(value, list):
+            value = [clone(item) if isinstance(item, Node) else item for item in value]
+        state[name] = value
+    copied.__dict__ = state
+    return copied
 
 
 def walk(node: Node) -> Iterator[Node]:

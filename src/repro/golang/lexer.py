@@ -7,17 +7,25 @@ comments, and the automatic-semicolon-insertion (ASI) rule — a newline
 terminates a statement when the last token on the line is an identifier, a
 literal, one of ``break continue fallthrough return``, one of ``++ --``, or one
 of ``) ] }``.
+
+Scanning is one compiled alternation (:data:`_MASTER`): each match is
+dispatched on ``lastgroup``, and line/column come from a bisect over the
+offsets where lines start.  ASI is decided from the kind of the last
+non-comment token whenever a newline (or a block comment spanning lines, or
+the end of input) is reached.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, List
+import re
+from bisect import bisect_right
+from typing import List
 
 from repro.errors import GoSyntaxError
 from repro.golang.tokens import KEYWORDS, Position, Token, TokenKind
 
 #: Token kinds after which a newline triggers automatic semicolon insertion.
-_ASI_KINDS = {
+_ASI_KINDS = frozenset({
     TokenKind.IDENT,
     TokenKind.INT,
     TokenKind.FLOAT,
@@ -32,60 +40,51 @@ _ASI_KINDS = {
     TokenKind.RPAREN,
     TokenKind.RBRACK,
     TokenKind.RBRACE,
+})
+
+#: Operator and delimiter spellings — every kind whose value is punctuation.
+_OPERATORS = {kind.value: kind for kind in TokenKind if not kind.value.isalpha()}
+
+_ESCAPES = {"n": "\n", "t": "\t", "r": "\r", "\\": "\\", '"': '"', "'": "'", "0": "\0"}
+_ESCAPE = re.compile(r"\\([\s\S])")
+
+# Each match skips leading blanks, then tries the alternatives in order.  The
+# ``*_OPEN`` groups match the longest prefix of an unterminated literal or
+# comment: the error is reported where that prefix ends, which is where a
+# character-at-a-time scan gives up.  Operators are listed longest first so
+# matching is greedy.
+_MASTER = re.compile(r"[ \t\r]*(?:" + "|".join([
+    r"(?P<NL>\n)",
+    r"(?P<LINE_COMMENT>//[^\n]*)",
+    r"(?P<BLOCK_COMMENT>/\*[\s\S]*?\*/)",
+    r"(?P<COMMENT_OPEN>/\*[\s\S]*)",
+    r"(?P<IDENT>[^\W\d]\w*)",
+    r"(?P<HEX>0[xX][0-9a-fA-F_]*)",
+    r"(?P<NUMBER>(?:\d[\d_]*(?:\.\d+)?|\.\d+)(?:[eE](?:[+-]\d*|\d+))?)",
+    r'(?P<STRING>"(?:[^"\\\n]|\\[\s\S])*")',
+    r'(?P<STRING_OPEN>"(?:[^"\\\n]|\\[\s\S])*)',
+    r"(?P<RAW>`[^`]*`)",
+    r"(?P<RAW_OPEN>`[^`]*)",
+    r"(?P<CHAR>'(?:\\[\s\S]|[^\\])')",
+    r"(?P<CHAR_OPEN>'(?:\\[\s\S]?|[^\\])?)",
+    "(?P<OP>" + "|".join(re.escape(op) for op in sorted(_OPERATORS, key=len, reverse=True))
+    + ")",
+    r"(?P<BAD>[\s\S])",
+    r"(?P<END>\Z)",
+]) + ")")
+
+_UNTERMINATED = {
+    "COMMENT_OPEN": "unterminated block comment",
+    "STRING_OPEN": "unterminated string literal",
+    "RAW_OPEN": "unterminated raw string literal",
+    "CHAR_OPEN": "unterminated rune literal",
 }
 
-_SIMPLE_OPS = {
-    "+": TokenKind.ADD,
-    "-": TokenKind.SUB,
-    "*": TokenKind.MUL,
-    "/": TokenKind.QUO,
-    "%": TokenKind.REM,
-    "&": TokenKind.AND,
-    "|": TokenKind.OR,
-    "^": TokenKind.XOR,
-    "<": TokenKind.LSS,
-    ">": TokenKind.GTR,
-    "=": TokenKind.ASSIGN,
-    "!": TokenKind.NOT,
-    "(": TokenKind.LPAREN,
-    ")": TokenKind.RPAREN,
-    "[": TokenKind.LBRACK,
-    "]": TokenKind.RBRACK,
-    "{": TokenKind.LBRACE,
-    "}": TokenKind.RBRACE,
-    ",": TokenKind.COMMA,
-    ";": TokenKind.SEMICOLON,
-    ":": TokenKind.COLON,
-    ".": TokenKind.PERIOD,
-}
 
-# Multi-character operators ordered longest-first so greedy matching is correct.
-_MULTI_OPS = [
-    ("<<=", TokenKind.SHL_ASSIGN),
-    (">>=", TokenKind.SHR_ASSIGN),
-    ("...", TokenKind.ELLIPSIS),
-    ("&^", TokenKind.AND_NOT),
-    ("<-", TokenKind.ARROW),
-    ("++", TokenKind.INC),
-    ("--", TokenKind.DEC),
-    ("==", TokenKind.EQL),
-    ("!=", TokenKind.NEQ),
-    ("<=", TokenKind.LEQ),
-    (">=", TokenKind.GEQ),
-    (":=", TokenKind.DEFINE),
-    ("&&", TokenKind.LAND),
-    ("||", TokenKind.LOR),
-    ("<<", TokenKind.SHL),
-    (">>", TokenKind.SHR),
-    ("+=", TokenKind.ADD_ASSIGN),
-    ("-=", TokenKind.SUB_ASSIGN),
-    ("*=", TokenKind.MUL_ASSIGN),
-    ("/=", TokenKind.QUO_ASSIGN),
-    ("%=", TokenKind.REM_ASSIGN),
-    ("&=", TokenKind.AND_ASSIGN),
-    ("|=", TokenKind.OR_ASSIGN),
-    ("^=", TokenKind.XOR_ASSIGN),
-]
+def _unescape(text: str) -> str:
+    if "\\" not in text:
+        return text
+    return _ESCAPE.sub(lambda m: _ESCAPES.get(m.group(1), m.group(1)), text)
 
 
 class Lexer:
@@ -94,232 +93,70 @@ class Lexer:
     def __init__(self, source: str, filename: str = "<source>"):
         self.source = source
         self.filename = filename
-        self._pos = 0
-        self._line = 1
-        self._col = 1
-        self._tokens: List[Token] = []
-        self._keep_comments = False
+        self._line_starts = [0]
+        self._line_starts.extend(m.end() for m in re.finditer("\n", source))
 
-    # -- low-level character helpers -------------------------------------------------
-
-    def _peek(self, offset: int = 0) -> str:
-        index = self._pos + offset
-        if index >= len(self.source):
-            return ""
-        return self.source[index]
-
-    def _advance(self) -> str:
-        ch = self.source[self._pos]
-        self._pos += 1
-        if ch == "\n":
-            self._line += 1
-            self._col = 1
-        else:
-            self._col += 1
-        return ch
-
-    def _position(self) -> Position:
-        return Position(self._line, self._col)
-
-    def _error(self, message: str) -> GoSyntaxError:
-        return GoSyntaxError(message, self.filename, self._line, self._col)
-
-    # -- token emission ---------------------------------------------------------------
-
-    def _emit(self, kind: TokenKind, text: str, pos: Position) -> None:
-        self._tokens.append(Token(kind, text, pos))
-
-    def _last_real_token(self) -> Token | None:
-        for token in reversed(self._tokens):
-            if token.kind is not TokenKind.COMMENT:
-                return token
-        return None
-
-    def _maybe_insert_semicolon(self) -> None:
-        last = self._last_real_token()
-        if last is not None and last.kind in _ASI_KINDS:
-            self._emit(TokenKind.SEMICOLON, "\n", Position(self._line, self._col))
-
-    # -- scanning ---------------------------------------------------------------------
+    def _position(self, offset: int) -> Position:
+        line = bisect_right(self._line_starts, offset)
+        return Position(line, offset - self._line_starts[line - 1] + 1)
 
     def tokenize(self, keep_comments: bool = False) -> List[Token]:
         """Scan the full source and return the token list (ending with EOF)."""
-        self._keep_comments = keep_comments
-        while self._pos < len(self.source):
-            ch = self._peek()
-            if ch == "\n":
-                self._maybe_insert_semicolon()
-                self._advance()
-            elif ch in " \t\r":
-                self._advance()
-            elif ch == "/" and self._peek(1) == "/":
-                self._scan_line_comment()
-            elif ch == "/" and self._peek(1) == "*":
-                self._scan_block_comment()
-            elif ch.isalpha() or ch == "_":
-                self._scan_identifier()
-            elif ch.isdigit() or (ch == "." and self._peek(1).isdigit()):
-                self._scan_number()
-            elif ch == '"':
-                self._scan_string()
-            elif ch == "`":
-                self._scan_raw_string()
-            elif ch == "'":
-                self._scan_char()
+        tokens: List[Token] = []
+        emit = tokens.append
+        position = self._position
+        last = None  # kind of the last non-comment token, for ASI
+        for match in _MASTER.finditer(self.source):
+            group = match.lastgroup
+            if group == "END":  # only trailing blanks were left
+                break
+            index = match.lastindex
+            text = match.group(index)
+            start = match.start(index)
+            if group == "IDENT":
+                last = KEYWORDS.get(text, TokenKind.IDENT)
+                emit(Token(last, text, position(start)))
+            elif group == "OP":
+                last = _OPERATORS[text]
+                emit(Token(last, text, position(start)))
+            elif group == "NL":
+                if last in _ASI_KINDS:
+                    last = TokenKind.SEMICOLON
+                    emit(Token(last, "\n", position(start)))
+            elif group == "NUMBER" or group == "HEX":
+                last = TokenKind.FLOAT if group == "NUMBER" and (
+                    "." in text or "e" in text or "E" in text) else TokenKind.INT
+                emit(Token(last, text, position(start)))
+            elif group == "STRING" or group == "RAW":
+                body = text[1:-1]
+                last = TokenKind.STRING
+                emit(Token(last, _unescape(body) if group == "STRING" else body,
+                           position(start)))
+            elif group == "CHAR":
+                last = TokenKind.CHAR
+                emit(Token(last, _unescape(text[1:-1]), position(start)))
+            elif group == "LINE_COMMENT" or group == "BLOCK_COMMENT":
+                if keep_comments:
+                    emit(Token(TokenKind.COMMENT, text, position(start)))
+                # A block comment containing a newline acts like a newline for ASI.
+                if group == "BLOCK_COMMENT" and "\n" in text and last in _ASI_KINDS:
+                    last = TokenKind.SEMICOLON
+                    emit(Token(last, "\n", position(match.end())))
+            elif group == "BAD":
+                raise self._error(f"unexpected character {text!r}", start)
             else:
-                self._scan_operator()
-        self._maybe_insert_semicolon()
-        self._emit(TokenKind.EOF, "", Position(self._line, self._col))
-        return self._tokens
+                raise self._error(_UNTERMINATED[group], match.end())
+        end = position(len(self.source))
+        if last in _ASI_KINDS:
+            emit(Token(TokenKind.SEMICOLON, "\n", end))
+        emit(Token(TokenKind.EOF, "", end))
+        return tokens
 
-    def _scan_line_comment(self) -> None:
-        pos = self._position()
-        text_chars: List[str] = []
-        while self._pos < len(self.source) and self._peek() != "\n":
-            text_chars.append(self._advance())
-        if self._keep_comments:
-            self._emit(TokenKind.COMMENT, "".join(text_chars), pos)
-
-    def _scan_block_comment(self) -> None:
-        pos = self._position()
-        text_chars: List[str] = [self._advance(), self._advance()]  # consume '/*'
-        saw_newline = False
-        while self._pos < len(self.source):
-            if self._peek() == "*" and self._peek(1) == "/":
-                text_chars.append(self._advance())
-                text_chars.append(self._advance())
-                break
-            if self._peek() == "\n":
-                saw_newline = True
-            text_chars.append(self._advance())
-        else:
-            raise self._error("unterminated block comment")
-        if self._keep_comments:
-            self._emit(TokenKind.COMMENT, "".join(text_chars), pos)
-        if saw_newline:
-            # A block comment containing a newline acts like a newline for ASI.
-            self._maybe_insert_semicolon()
-
-    def _scan_identifier(self) -> None:
-        pos = self._position()
-        chars: List[str] = []
-        while self._pos < len(self.source) and (self._peek().isalnum() or self._peek() == "_"):
-            chars.append(self._advance())
-        text = "".join(chars)
-        kind = KEYWORDS.get(text, TokenKind.IDENT)
-        self._emit(kind, text, pos)
-
-    def _scan_number(self) -> None:
-        pos = self._position()
-        chars: List[str] = []
-        is_float = False
-        if self._peek() == "0" and self._peek(1) != "" and self._peek(1) in "xX":
-            chars.append(self._advance())
-            chars.append(self._advance())
-            while self._pos < len(self.source) and (self._peek() in "0123456789abcdefABCDEF_"):
-                chars.append(self._advance())
-            self._emit(TokenKind.INT, "".join(chars), pos)
-            return
-        while self._pos < len(self.source) and (self._peek().isdigit() or self._peek() == "_"):
-            chars.append(self._advance())
-        if self._peek() == "." and self._peek(1).isdigit():
-            is_float = True
-            chars.append(self._advance())
-            while self._pos < len(self.source) and self._peek().isdigit():
-                chars.append(self._advance())
-        next_char = self._peek()
-        after = self._peek(1)
-        if next_char != "" and next_char in "eE" and (
-            after.isdigit() or (after != "" and after in "+-")
-        ):
-            is_float = True
-            chars.append(self._advance())
-            if self._peek() != "" and self._peek() in "+-":
-                chars.append(self._advance())
-            while self._pos < len(self.source) and self._peek().isdigit():
-                chars.append(self._advance())
-        kind = TokenKind.FLOAT if is_float else TokenKind.INT
-        self._emit(kind, "".join(chars), pos)
-
-    def _scan_string(self) -> None:
-        pos = self._position()
-        self._advance()  # opening quote
-        chars: List[str] = []
-        while True:
-            if self._pos >= len(self.source) or self._peek() == "\n":
-                raise self._error("unterminated string literal")
-            ch = self._advance()
-            if ch == '"':
-                break
-            if ch == "\\":
-                escape = self._advance()
-                chars.append(_decode_escape(escape))
-            else:
-                chars.append(ch)
-        self._emit(TokenKind.STRING, "".join(chars), pos)
-
-    def _scan_raw_string(self) -> None:
-        pos = self._position()
-        self._advance()  # opening backquote
-        chars: List[str] = []
-        while True:
-            if self._pos >= len(self.source):
-                raise self._error("unterminated raw string literal")
-            ch = self._advance()
-            if ch == "`":
-                break
-            chars.append(ch)
-        self._emit(TokenKind.STRING, "".join(chars), pos)
-
-    def _scan_char(self) -> None:
-        pos = self._position()
-        self._advance()  # opening quote
-        if self._pos >= len(self.source):
-            raise self._error("unterminated rune literal")
-        ch = self._advance()
-        if ch == "\\":
-            ch = _decode_escape(self._advance())
-        if self._peek() != "'":
-            raise self._error("unterminated rune literal")
-        self._advance()
-        self._emit(TokenKind.CHAR, ch, pos)
-
-    def _scan_operator(self) -> None:
-        pos = self._position()
-        rest = self.source[self._pos:]
-        for spelling, kind in _MULTI_OPS:
-            if rest.startswith(spelling):
-                for _ in spelling:
-                    self._advance()
-                self._emit(kind, spelling, pos)
-                return
-        ch = self._peek()
-        kind = _SIMPLE_OPS.get(ch)
-        if kind is None:
-            raise self._error(f"unexpected character {ch!r}")
-        self._advance()
-        self._emit(kind, ch, pos)
-
-
-def _decode_escape(escape: str) -> str:
-    """Decode a single-character escape sequence used inside string/rune literals."""
-    mapping = {
-        "n": "\n",
-        "t": "\t",
-        "r": "\r",
-        "\\": "\\",
-        '"': '"',
-        "'": "'",
-        "0": "\0",
-    }
-    return mapping.get(escape, escape)
+    def _error(self, message: str, offset: int) -> GoSyntaxError:
+        pos = self._position(offset)
+        return GoSyntaxError(message, self.filename, pos.line, pos.column)
 
 
 def tokenize(source: str, filename: str = "<source>", keep_comments: bool = False) -> List[Token]:
     """Tokenize ``source`` and return the token list."""
     return Lexer(source, filename).tokenize(keep_comments=keep_comments)
-
-
-def iter_tokens(source: str, filename: str = "<source>") -> Iterator[Token]:
-    """Yield tokens one at a time (convenience wrapper around :func:`tokenize`)."""
-    yield from tokenize(source, filename)

@@ -11,7 +11,9 @@ pointers, variadic calls, and type assertions.
 
 from __future__ import annotations
 
-from typing import List, Optional
+import threading
+from collections import OrderedDict
+from typing import List, Optional, Tuple
 
 from repro.errors import GoSyntaxError
 from repro.golang import ast_nodes as ast
@@ -869,9 +871,43 @@ def _as_call(expr: ast.Expr, pos: Position) -> ast.CallExpr:
     return ast.CallExpr(fun=expr, args=[], pos=pos)
 
 
+#: Most distinct ``(filename, source)`` pairs :func:`parse_file` keeps.  An
+#: ``evaluate`` run sees about 400 at roughly 31 KB of tree each, so the bound
+#: holds the working set in about 32 MB at most.
+_PARSE_CACHE_CAPACITY = 1024
+_parse_cache: "OrderedDict[Tuple[str, str], ast.File | GoSyntaxError]" = OrderedDict()
+_parse_cache_lock = threading.Lock()
+
+
 def parse_file(source: str, filename: str = "<source>") -> ast.File:
-    """Parse Go source text into a :class:`repro.golang.ast_nodes.File`."""
-    return Parser(source, filename).parse_file()
+    """Parse Go source text into a :class:`repro.golang.ast_nodes.File`.
+
+    Each distinct ``(filename, source)`` pair is parsed once per process and
+    kept in a bounded LRU; the key is the text itself, never a digest.  The
+    returned tree is shared by every caller and must not be mutated — take
+    :func:`repro.golang.ast_nodes.clone` first.  A syntax error is cached too
+    and re-raised as a fresh :class:`GoSyntaxError` with the same message and
+    position.
+    """
+    key = (filename, source)
+    with _parse_cache_lock:
+        outcome = _parse_cache.get(key)
+        if outcome is not None:
+            _parse_cache.move_to_end(key)
+    if outcome is None:
+        try:
+            outcome = Parser(source, filename).parse_file()
+        except GoSyntaxError as exc:
+            # Drop the traceback: it would pin the parser and its tokens.
+            outcome = exc.with_traceback(None)
+        with _parse_cache_lock:
+            # A concurrent miss may have stored an equal tree first; keep one.
+            outcome = _parse_cache.setdefault(key, outcome)
+            if len(_parse_cache) > _PARSE_CACHE_CAPACITY:
+                _parse_cache.popitem(last=False)
+    if isinstance(outcome, GoSyntaxError):
+        raise GoSyntaxError(outcome.message, outcome.filename, outcome.line, outcome.column)
+    return outcome
 
 
 def parse_expr(source: str) -> ast.Expr:
@@ -887,7 +923,7 @@ def parse_expr(source: str) -> ast.Expr:
 def parse_stmts(source: str, filename: str = "<stmts>") -> List[ast.Stmt]:
     """Parse a sequence of statements (wrapped internally in a function body)."""
     wrapped = "package p\nfunc __wrapper__() {\n" + source + "\n}\n"
-    file = parse_file(wrapped, filename)
+    file = Parser(wrapped, filename).parse_file()
     func = file.find_func("__wrapper__")
     assert func is not None and func.body is not None
     return func.body.stmts

@@ -1019,7 +1019,9 @@ def compile_block(block: ast.BlockStmt, code: CodeCache) -> Code:
     return run
 
 
-def _build_stmt(node: ast.Stmt, code: CodeCache) -> Code:
+def _build_stmt(node: ast.Stmt, code: CodeCache, label: Optional[str] = None) -> Code:
+    """Lower one statement; ``label`` names an enclosing ``LabeledStmt``,
+    which ``break``/``continue`` signals of a loop are matched against."""
     line = node.pos.line
 
     if isinstance(node, ast.ExprStmt):
@@ -1152,7 +1154,6 @@ def _build_stmt(node: ast.Stmt, code: CodeCache) -> Code:
             stack = goroutine.stack
             if stack and line:
                 stack[-1].line = line
-            label = getattr(node, "_label", None)
             scope = Environment(parent=env) if needs_scope else env
             if init_code is not None:
                 yield from init_code(interp, goroutine, scope)
@@ -1238,13 +1239,10 @@ def _build_stmt(node: ast.Stmt, code: CodeCache) -> Code:
         return run_send
 
     if isinstance(node, ast.LabeledStmt):
-        inner = node.stmt
         label = node.label
-        # The reference sets ``_label`` on every execution; the value is
-        # static, so attach it once at lowering time — the shared AST then
-        # really is immutable at runtime.
-        setattr(inner, "_label", label)
-        inner_code = compile_stmt(inner, code)
+        # The label is static, so it is lowered into the inner loop rather
+        # than attached to the (shared, never written) AST.
+        inner_code = _build_stmt(node.stmt, code, label)
 
         def run_labeled(interp, goroutine, env):
             stack = goroutine.stack
@@ -1270,7 +1268,7 @@ def _build_stmt(node: ast.Stmt, code: CodeCache) -> Code:
         return run_empty
 
     if isinstance(node, ast.RangeStmt):
-        return _build_range(node, code, line)
+        return _build_range(node, code, line, label)
 
     # Remaining statement kinds (decl, switch, select) lower to thin
     # wrappers over the reference implementation; their sub-statements and
@@ -1301,7 +1299,8 @@ def _build_stmt(node: ast.Stmt, code: CodeCache) -> Code:
     return run_wrapped
 
 
-def _build_range(node: ast.RangeStmt, code: CodeCache, line: int) -> Code:
+def _build_range(node: ast.RangeStmt, code: CodeCache, line: int,
+                 label: Optional[str]) -> Code:
     """Hand-lowered ``for ... range``, mirroring ``exec_range`` exactly
     (per-loop variable cells, ``_range_items`` iteration, write/assign order,
     signal handling, trailing schedule point)."""
@@ -1333,7 +1332,6 @@ def _build_range(node: ast.RangeStmt, code: CodeCache, line: int) -> Code:
         stack = goroutine.stack
         if stack and line:
             stack[-1].line = line
-        label = getattr(node, "_label", None)
         scope = Environment(parent=env)
         container = yield from x_code(interp, goroutine, env)
         # Loop variables have per-loop scope (Go <= 1.21); see the

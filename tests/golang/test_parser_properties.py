@@ -1,7 +1,10 @@
 """Property-based tests for the parser/printer using hypothesis."""
 
+import copy
+
 from hypothesis import given, settings, strategies as st
 
+from repro.golang import ast_nodes as ast
 from repro.golang.parser import parse_expr, parse_file
 from repro.golang.printer import print_file, print_node
 
@@ -91,3 +94,38 @@ class TestPrinterParserProperties:
         original = parse_file(source)
         printed = parse_file(print_file(original))
         assert len(printed.func_decls()) == len(original.func_decls())
+
+
+def _fresh_all_the_way_down(original: ast.Node, copied: ast.Node) -> None:
+    assert copied is not original and type(copied) is type(original)
+    for name, value in vars(original).items():
+        other = vars(copied)[name]
+        if isinstance(value, ast.Node):
+            _fresh_all_the_way_down(value, other)
+        elif isinstance(value, list):
+            assert other is not value and len(other) == len(value)
+            for item, other_item in zip(value, other):
+                if isinstance(item, ast.Node):
+                    _fresh_all_the_way_down(item, other_item)
+                else:
+                    assert other_item == item
+        else:
+            assert other == value
+
+
+class TestClone:
+    @given(simple_functions())
+    @settings(max_examples=60, deadline=None)
+    def test_clone_prints_like_deepcopy_and_shares_no_node(self, source):
+        original = parse_file(source)
+        cloned = ast.clone(original)
+        assert print_file(cloned) == print_file(copy.deepcopy(original))
+        assert cloned == original
+        _fresh_all_the_way_down(original, cloned)
+
+    @given(simple_exprs())
+    @settings(max_examples=100, deadline=None)
+    def test_expression_clone_prints_like_deepcopy(self, source):
+        expr = parse_expr(source)
+        assert print_node(ast.clone(expr)) == print_node(copy.deepcopy(expr))
+        _fresh_all_the_way_down(expr, ast.clone(expr))
