@@ -55,6 +55,7 @@ if str(_SRC) not in sys.path:
 from repro.corpus.generator import CorpusConfig, CorpusGenerator  # noqa: E402
 from repro.runtime.compiler import PROGRAM_CACHE  # noqa: E402
 from repro.runtime.harness import GoFile, GoPackage, run_package_tests  # noqa: E402
+from repro.runtime.schedule_index import SCHEDULE_CLASS_REGISTRY  # noqa: E402
 
 BASELINE_PATH = Path(__file__).resolve().parent / "baselines" / "interpreter_pr2.json"
 #: The workload mirrors a validator sweep: several harness invocations over
@@ -84,6 +85,9 @@ def _time_workload(package, engine: str, trials: int = TRIALS,
         start = time.perf_counter()
         steps = 0
         for _call in range(REPEAT_CALLS):
+            # Every call executes: a repeat of an identical sweep would
+            # otherwise be replayed from the schedule-class index.
+            SCHEDULE_CLASS_REGISTRY.clear()
             result = run_package_tests(package, runs=RUNS_PER_CALL, engine=engine,
                                        slicing=slicing)
             steps += result.scheduler_steps

@@ -8,11 +8,18 @@ from repro.core.database import ExampleDatabase
 from repro.core.skeleton import Skeletonizer
 from repro.embedding.embedder import CodeEmbedder
 from repro.runtime.harness import run_package_tests
+from repro.runtime.schedule_index import SCHEDULE_CLASS_REGISTRY
 
 
 def test_bench_race_detection_run(benchmark, context):
     case = context.dataset.evaluation[0]
-    result = benchmark(lambda: run_package_tests(case.package, runs=4))
+
+    def detect():
+        # Execute every round instead of replaying the first one's sweep.
+        SCHEDULE_CLASS_REGISTRY.clear()
+        return run_package_tests(case.package, runs=4)
+
+    result = benchmark(detect)
     assert result.built
 
 

@@ -338,8 +338,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
     Builds one corpus + database, then times the same arm four ways — serial
     cold, parallel cold, store-cold, store-warm — on independent copies of the
-    cases (so per-case detection caches cannot leak between phases), and
-    checks that every phase produces identical metrics.
+    cases, each phase starting from an empty schedule-class registry (so no
+    phase replays a harness sweep an earlier one ran), and checks that every
+    phase produces identical metrics.
     """
     # Benchmarking parallelism with one worker would be meaningless, so with
     # no --jobs and no DRFIX_JOBS the parallel phase uses every CPU.
@@ -358,6 +359,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
             jobs=jobs_, executor=executor, store=store,
         )
         fresh = copy.deepcopy(cases)
+        SCHEDULE_CLASS_REGISTRY.clear(counters=False)
         start = time.perf_counter()
         run = runner.run(fresh, label=label)
         elapsed = time.perf_counter() - start
@@ -403,6 +405,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
           f"{dedup_stats['runs_skipped']} runs skipped, "
           f"{dedup_stats['prefix_rejections']} prefix rejections, "
           f"{dedup_stats['saturation_stops']} saturation stops, "
+          f"{dedup_stats['sweeps_replayed']} sweeps replayed, "
           f"{dedup_stats['indexes']} indexes")
     return 0
 

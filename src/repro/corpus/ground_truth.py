@@ -70,7 +70,6 @@ class RaceCase:
     #: Mutation provenance, in application order (``op(key=value,...)``).
     mutations: List[str] = field(default_factory=list)
     seed: int = 0
-    _detection_cache: Optional[PackageRunResult] = field(default=None, repr=False, compare=False)
 
     # ------------------------------------------------------------------
     # Derived properties
@@ -107,11 +106,13 @@ class RaceCase:
     # Detection
     # ------------------------------------------------------------------
 
-    def detect(self, runs: int = 10, seed: int = 0, force: bool = False) -> PackageRunResult:
-        """Run the racy package under the detector and cache the result."""
-        if self._detection_cache is None or force:
-            self._detection_cache = run_package_tests(self.package, runs=runs, seed=seed)
-        return self._detection_cache
+    def detect(self, runs: int = 10, seed: int = 0) -> PackageRunResult:
+        """Run the racy package under the detector.
+
+        A repeat call with the same arguments is replayed from the harness's
+        sweep memo (dedup on), so callers need no cache of their own.
+        """
+        return run_package_tests(self.package, runs=runs, seed=seed)
 
     def race_report(self, runs: int = 10, seed: int = 0) -> Optional[RaceReport]:
         """The first detected race report for this case (None if not reproduced)."""

@@ -344,7 +344,6 @@ class TemplateMutator:
             expected_race=draft.expected_race,
             base_case_id=case.case_id,
             mutations=records,
-            _detection_cache=None,
         )
 
 

@@ -31,12 +31,15 @@ The harness owns the pieces Dr.Fix's validator needs (Section 4.4.1):
 * **early exit** — in detection, ``stop_on_first_race`` cancels outstanding
   runs once a run (scanned in submission order) has produced a race;
 * **race collection** — detector races are rendered as ThreadSanitizer-format
-  reports and deduplicated by stable bug hash.
+  reports and deduplicated by stable bug hash;
+* **sweep replay** — with dedup on and no saturation, a sweep identical to
+  one already run in this process (same package, settings, and stdlib
+  generation) returns a copy of the stored result instead of executing again.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import Any, Dict, FrozenSet, Generator, List, Optional, Sequence, Tuple
 
@@ -54,7 +57,6 @@ from repro.runtime.compiler import (
     PROGRAM_CACHE,
     BuiltPackage,
     CompiledInterpreter,
-    package_fingerprint,
 )
 from repro.runtime.goroutine import Goroutine, STEP, blocked
 from repro.runtime.interpreter import Interpreter
@@ -471,9 +473,11 @@ class GoTestHarness:
         self.slicing = resolve_slicing(slicing)
         #: Schedule-class deduplication (argument, then ``DRFIX_DEDUP``,
         #: then on): memoize explored classes in the process-wide registry,
-        #: skip re-rendering for in-call repeats, and bias PCT change points
-        #: away from already-planned signatures.  ``off`` restores the
-        #: recompute-everything harness bit for bit.
+        #: skip re-rendering for in-call repeats, bias PCT change points
+        #: away from already-planned signatures, and replay a sweep that
+        #: repeats an earlier one (same index key and sweep key) from the
+        #: index's sweep memo.  ``off`` restores the recompute-everything
+        #: harness bit for bit.
         self.dedup = resolve_dedup(dedup)
         #: Saturation early-stop: > 0 ⇒ stop launching runs after this many
         #: consecutive runs with no novel schedule class *and* no novel
@@ -566,7 +570,7 @@ class GoTestHarness:
                 specs.append((seed, policy, frozenset()))
         return specs, planned_signatures
 
-    def _index_key(self, entries: Sequence[str]) -> tuple:
+    def _index_key(self, build: BuiltPackage, entries: Sequence[str]) -> tuple:
         """The registry key: everything that shapes this sweep's schedule space.
 
         Two invocations share a :class:`ScheduleClassIndex` exactly when they
@@ -578,7 +582,7 @@ class GoTestHarness:
         sweeps saturate early.
         """
         return (
-            package_fingerprint(self.package),
+            build.fingerprint,
             self.seed,
             self.max_steps,
             tuple(p.value for p in self.policies),
@@ -586,6 +590,13 @@ class GoTestHarness:
             self.slicing,
             tuple(entries),
         )
+
+    def _sweep_key(self, build: BuiltPackage) -> tuple:
+        """The sweep-memo key within an index: the settings that change a
+        sweep's result but not its schedule space.  ``jobs`` and the executor
+        are absent because serial ≡ parallel."""
+        return (self.runs, self.stop_on_first_race, self.max_output_lines,
+                build.stdlib_generation)
 
     def run(self, entry_functions: Optional[Sequence[str]] = None) -> PackageRunResult:
         result = PackageRunResult(package=self.package.name)
@@ -601,13 +612,24 @@ class GoTestHarness:
             # Nothing to exercise; treat as an empty, passing package.
             return result
 
+        index: Optional[ScheduleClassIndex] = None
+        sweep_key: Optional[tuple] = None
+        if self.dedup:
+            index = SCHEDULE_CLASS_REGISTRY.get(self._index_key(build, entries))
+            if self.saturation_after == 0:
+                # A saturated sweep merges the index's contents, so its result
+                # depends on history; every other sweep is a pure function of
+                # its key and is replayed when it repeats.
+                sweep_key = self._sweep_key(build)
+                stored = index.lookup_sweep(sweep_key)
+                if stored is not None:
+                    return _replay(stored)
+
         plan, planned_signatures = self._plan_specs()
         result.runs_attempted = len(plan)
         pool = CaseExecutor(kind=self.executor_kind, jobs=self.jobs)
-        index: Optional[ScheduleClassIndex] = None
         call_memo: Optional[Dict[int, Tuple[RaceReport, ...]]] = None
-        if self.dedup:
-            index = SCHEDULE_CLASS_REGISTRY.get(self._index_key(entries))
+        if index is not None:
             for signature in planned_signatures:
                 index.note_pct_signature(signature)
             if pool.kind is ExecutorKind.SERIAL or pool.jobs == 1:
@@ -702,6 +724,8 @@ class GoTestHarness:
                 saturated=fold.saturated,
             )
         result.reports = merge_reports(all_reports)
+        if sweep_key is not None:
+            index.store_sweep(sweep_key, _detached(result))
         return result
 
     def _run_once(
@@ -779,6 +803,33 @@ class GoTestHarness:
             pct_rejections=scheduler.stats.pct_rejections,
             deduped=deduped,
         )
+
+
+def _detached(result: PackageRunResult, **changes: Any) -> PackageRunResult:
+    """A copy of ``result`` with fresh lists, so neither side's list edits
+    reach the other.  Reports are shared: nothing mutates a ``RaceReport``
+    after rendering (``tests/runtime/test_sweep_memo.py`` checks this over a
+    pipeline run)."""
+    return replace(
+        result,
+        reports=list(result.reports),
+        build_errors=list(result.build_errors),
+        test_failures=list(result.test_failures),
+        output=list(result.output),
+        **changes,
+    )
+
+
+def _replay(stored: PackageRunResult) -> PackageRunResult:
+    """Answer a repeated sweep from the memo, with the accounting a re-run
+    would produce: every executed run lands on an indexed class, so all of
+    them count as deduped and none as novel."""
+    SCHEDULE_CLASS_REGISTRY.note_sweep(
+        runs_deduped=stored.runs,
+        prefix_rejections=stored.prefix_rejections,
+        replayed=True,
+    )
+    return _detached(stored, runs_deduped=stored.runs)
 
 
 def _cap_output(lines: List[str], limit: int) -> Tuple[List[str], int]:

@@ -10,13 +10,16 @@ turns that statistic into a pruning layer:
 * :class:`ScheduleClassIndex` — one index per (package fingerprint, harness
   config): memoizes each explored class's outcome (reports, failures, output,
   steps) keyed by the class hash, tracks the sync-event *prefix* hashes seen
-  at candidate depths, and remembers which PCT change-point signatures have
-  been spent — the state novelty-guided budget reallocation reads;
+  at candidate depths, remembers which PCT change-point signatures have been
+  spent — the state novelty-guided budget reallocation reads — and keeps a
+  small LRU of whole sweep results, so a repeat of an identical sweep is
+  replayed instead of re-executed;
 * :class:`ScheduleClassRegistry` — a bounded, thread-safe, process-wide map
   from index key to index (mirroring :data:`~repro.runtime.compiler.
   PROGRAM_CACHE`'s lifecycle), plus the monotone counters `drfix bench` and
   ``GET /metrics`` export: ``classes_explored``, ``runs_deduped``,
-  ``runs_skipped``, ``prefix_rejections``, ``saturation_stops``.
+  ``runs_skipped``, ``prefix_rejections``, ``saturation_stops``,
+  ``sweeps_replayed``.
 
 The index never *changes* what a single harness invocation reports — in-call
 memo reuse is merge-invisible (a stale run's racing pairs are a subset of its
@@ -32,7 +35,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 #: FNV-1a 64-bit parameters — shared with the detector's trace hash so every
 #: schedule-space digest in the runtime speaks one arithmetic (stable across
@@ -70,7 +73,16 @@ class ScheduleClassIndex:
 
     Thread-safe: the harness folds runs in submission order from one thread,
     but thread-backend executors may race lookups from workers.
+
+    The index also memoizes whole sweeps (see :meth:`store_sweep`), keyed by
+    the settings the index key leaves out.  A stored sweep stands for "re-run
+    this sweep against this index", which records nothing new — so the memo
+    is only valid while every class it explored is still indexed, and a class
+    eviction drops it.
     """
+
+    #: Whole sweeps kept per index, least recently used evicted first.
+    max_sweeps = 8
 
     def __init__(self, max_classes: int = 4096):
         self.max_classes = max_classes
@@ -78,6 +90,7 @@ class ScheduleClassIndex:
         self._classes: "OrderedDict[int, ClassOutcome]" = OrderedDict()
         self._prefixes: set[int] = set()
         self._pct_signatures: set[int] = set()
+        self._sweeps: "OrderedDict[tuple, Any]" = OrderedDict()
 
     # ------------------------------------------------------------------
 
@@ -100,6 +113,7 @@ class ScheduleClassIndex:
                 return False
             while len(self._classes) >= self.max_classes:
                 self._classes.popitem(last=False)
+                self._sweeps.clear()
             self._classes[class_hash] = outcome
             return True
 
@@ -122,6 +136,29 @@ class ScheduleClassIndex:
         with self._lock:
             return list(self._classes.keys())
 
+    # -- whole-sweep memo ----------------------------------------------
+
+    def lookup_sweep(self, key: tuple) -> Optional[Any]:
+        """The sweep stored under ``key``, or None."""
+        with self._lock:
+            sweep = self._sweeps.get(key)
+            if sweep is not None:
+                self._sweeps.move_to_end(key)
+            return sweep
+
+    def store_sweep(self, key: tuple, sweep: Any) -> None:
+        """Memoize a finished sweep; the first of concurrent writers wins.
+
+        Refused once the class memo is full: from then on a re-run could
+        re-record evicted classes, which a replay would not.
+        """
+        with self._lock:
+            if key in self._sweeps or len(self._classes) >= self.max_classes:
+                return
+            while len(self._sweeps) >= self.max_sweeps:
+                self._sweeps.popitem(last=False)
+            self._sweeps[key] = sweep
+
     # -- novelty-guided PCT biasing ------------------------------------
 
     def note_pct_signature(self, signature: int) -> None:
@@ -142,6 +179,8 @@ class DedupCounters:
     runs_skipped: int = 0
     prefix_rejections: int = 0
     saturation_stops: int = 0
+    #: Harness sweeps answered from an index's sweep memo, not executed.
+    sweeps_replayed: int = 0
 
     def as_dict(self) -> Dict[str, int]:
         return {
@@ -150,16 +189,18 @@ class DedupCounters:
             "runs_skipped": self.runs_skipped,
             "prefix_rejections": self.prefix_rejections,
             "saturation_stops": self.saturation_stops,
+            "sweeps_replayed": self.sweeps_replayed,
         }
 
 
 class ScheduleClassRegistry:
     """Process-wide (index key → :class:`ScheduleClassIndex`), bounded LRU.
 
-    The key is the harness's (package fingerprint, seed, policies, max_steps,
-    engine, slicing) tuple, so an index is shared exactly by invocations that
-    would replay one another's schedules — the repeated-run validation
-    workload — and never across configurations that explore different spaces.
+    The key is the harness's (package fingerprint, seed, max_steps, policies,
+    engine, slicing, entries) tuple, so an index is shared exactly by
+    invocations that would replay one another's schedules — the repeated-run
+    validation workload — and never across configurations that explore
+    different spaces.
     """
 
     def __init__(self, capacity: int = 256):
@@ -184,7 +225,7 @@ class ScheduleClassRegistry:
 
     def note_sweep(self, *, novel_classes: int = 0, runs_deduped: int = 0,
                    runs_skipped: int = 0, prefix_rejections: int = 0,
-                   saturated: bool = False) -> None:
+                   saturated: bool = False, replayed: bool = False) -> None:
         with self._lock:
             self.counters.classes_explored += novel_classes
             self.counters.runs_deduped += runs_deduped
@@ -192,6 +233,8 @@ class ScheduleClassRegistry:
             self.counters.prefix_rejections += prefix_rejections
             if saturated:
                 self.counters.saturation_stops += 1
+            if replayed:
+                self.counters.sweeps_replayed += 1
 
     def stats(self) -> Dict[str, int]:
         with self._lock:
@@ -199,11 +242,13 @@ class ScheduleClassRegistry:
             stats["indexes"] = len(self._indexes)
             return stats
 
-    def clear(self) -> None:
-        """Drop every index and zero the counters (tests and benchmarks)."""
+    def clear(self, counters: bool = True) -> None:
+        """Drop every index and, unless ``counters`` is False, zero the
+        counters (tests and benchmarks)."""
         with self._lock:
             self._indexes.clear()
-            self.counters = DedupCounters()
+            if counters:
+                self.counters = DedupCounters()
 
 
 #: The process-wide registry every harness invocation with dedup on shares —

@@ -6,6 +6,7 @@ from repro.core import DrFix, DrFixConfig, ExampleDatabase
 from repro.diagnosis.categories import RaceCategory
 from repro.corpus.generator import generate_cases
 from repro.runtime.harness import run_package_tests
+from repro.runtime.schedule_index import SCHEDULE_CLASS_REGISTRY
 
 
 @pytest.fixture(scope="module")
@@ -136,6 +137,28 @@ def _outcome_signature(outcome):
     )
 
 
+class TestFixCaseDetection:
+    def test_baseline_detection_uses_the_configured_runs_and_seed(
+            self, err_capture_case, pipeline_config, monkeypatch):
+        from dataclasses import replace
+
+        from repro.corpus.ground_truth import RaceCase
+
+        calls = []
+        detect = RaceCase.detect
+
+        def recording(self, runs=10, seed=0):
+            calls.append((runs, seed))
+            return detect(self, runs=runs, seed=seed)
+
+        monkeypatch.setattr(RaceCase, "detect", recording)
+        config = replace(pipeline_config.without_rag(), detection_runs=6,
+                         validator_seed=9)
+        DrFix(err_capture_case.package, config=config).fix_case(err_capture_case)
+        # race_report's detection, then the baseline: both configured.
+        assert calls == [(6, 9), (6, 9)]
+
+
 class TestConcurrentCandidateValidation:
     """The (location, scope) batch path must be bit-identical to the serial loop."""
 
@@ -146,6 +169,9 @@ class TestConcurrentCandidateValidation:
         case = request.getfixturevalue(case_fixture)
         serial = DrFix(case.package, config=pipeline_config,
                        database=pipeline_database, jobs=1).fix_case(case)
+        # The parallel arm recomputes every sweep instead of replaying the
+        # serial arm's from the schedule-class registry.
+        SCHEDULE_CLASS_REGISTRY.clear()
         parallel = DrFix(case.package, config=pipeline_config,
                          database=pipeline_database, jobs=2,
                          executor="thread").fix_case(case)
@@ -158,6 +184,7 @@ class TestConcurrentCandidateValidation:
         # replay the same failure log, counters, and failure reason.
         config = pipeline_config.without_rag()
         serial = DrFix(shard_map_case.package, config=config, jobs=1).fix_case(shard_map_case)
+        SCHEDULE_CLASS_REGISTRY.clear()
         parallel = DrFix(shard_map_case.package, config=config, jobs=2,
                          executor="thread").fix_case(shard_map_case)
         assert not serial.fixed

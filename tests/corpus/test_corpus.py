@@ -8,6 +8,7 @@ from repro.corpus.ground_truth import Difficulty
 from repro.corpus.noise import make_vocabulary, noise_helper_functions, noise_struct
 from repro.corpus.templates import TEMPLATE_REGISTRY, UNFIXABLE_TEMPLATES, all_templates
 from repro.golang.parser import parse_file
+from repro.runtime.harness import run_package_tests
 
 
 class TestNoise:
@@ -115,3 +116,16 @@ class TestGenerator:
     def test_difficulty_annotations_exist(self):
         cases = generate_cases(all_categories(), 1, seed=21)
         assert {c.difficulty for c in cases} >= {Difficulty.SIMPLE, Difficulty.COMPLEX}
+
+
+class TestDetection:
+    def test_detect_honours_runs_and_seed_on_every_call(self, err_capture_case):
+        # Regression: a per-case cache used to answer every call with the
+        # first call's result, whatever runs and seed the caller asked for.
+        assert err_capture_case.detect(runs=2).runs == 2
+        assert err_capture_case.detect(runs=12).runs == 12
+        seeded = err_capture_case.detect(runs=4, seed=9)
+        direct = run_package_tests(err_capture_case.package, runs=4, seed=9,
+                                   dedup="off")
+        assert (seeded.runs, seeded.scheduler_steps, seeded.race_hashes()) == (
+            direct.runs, direct.scheduler_steps, direct.race_hashes())

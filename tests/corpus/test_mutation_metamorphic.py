@@ -146,14 +146,14 @@ class TestLabelFlips:
 
     def test_validator_flags_a_racy_package_labeled_race_free(self):
         base = make_bulk_wgadd_case(90, 1)
-        mislabeled = dataclasses.replace(base, expected_race=False, _detection_cache=None)
+        mislabeled = dataclasses.replace(base, expected_race=False)
         validation = validate_case(mislabeled, runs=10)
         assert not validation.ok
         assert any("still races" in problem for problem in validation.problems)
 
     def test_validator_flags_a_racy_human_fix(self):
         base = make_bulk_wgadd_case(90, 1)
-        broken = dataclasses.replace(base, fixed_package=base.package, _detection_cache=None)
+        broken = dataclasses.replace(base, fixed_package=base.package)
         validation = validate_case(broken, runs=10)
         assert not validation.ok
         assert any("human fix" in problem for problem in validation.problems)

@@ -30,6 +30,7 @@ from repro.evaluation.store import (
     serialize_case_result,
 )
 from repro.cli import main
+from repro.runtime.schedule_index import SCHEDULE_CLASS_REGISTRY
 
 
 SMALL_CORPUS = CorpusConfig(db_examples=8, eval_fixable=8, eval_unfixable=3, seed=8)
@@ -41,7 +42,9 @@ def context():
 
 
 def _run_with(context, jobs, executor, store=None, per_case_seeds=False):
-    """Run the full arm on an independent copy of the evaluation cases."""
+    """Run the full arm on an independent copy of the evaluation cases, from
+    an empty schedule-class registry so no arm replays another's sweeps."""
+    SCHEDULE_CLASS_REGISTRY.clear()
     config = context.base_config.with_per_case_seeds(per_case_seeds)
     runner = EvaluationRunner(
         config, context.skeleton_database, context.reviewer,

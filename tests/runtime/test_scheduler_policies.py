@@ -7,6 +7,7 @@ import pytest
 
 from repro.runtime.goroutine import Goroutine, STEP
 from repro.runtime.harness import DEFAULT_POLICIES, GoFile, GoPackage, GoTestHarness, run_package_tests
+from repro.runtime.schedule_index import SCHEDULE_CLASS_REGISTRY
 from repro.runtime.scheduler import (
     Scheduler,
     SchedulerPolicy,
@@ -155,15 +156,20 @@ class TestParallelHarness:
             result.output_lines_truncated,
         )
 
+    # Each arm starts from an empty schedule-class registry: arms that share
+    # an index key would otherwise replay the first arm's stored sweep.
+
     @pytest.mark.parametrize("executor", ["thread", "process"])
     def test_parallel_run_equals_serial(self, listing1_package, executor):
         serial = run_package_tests(listing1_package, runs=8, jobs=1)
+        SCHEDULE_CLASS_REGISTRY.clear()
         parallel = run_package_tests(listing1_package, runs=8, jobs=4, executor=executor)
         assert self._signature(serial) == self._signature(parallel)
         assert serial.reports  # the race is found either way
 
     def test_parallel_clean_package_equals_serial(self, listing1_fixed_package):
         serial = run_package_tests(listing1_fixed_package, runs=8, jobs=1)
+        SCHEDULE_CLASS_REGISTRY.clear()
         parallel = run_package_tests(listing1_fixed_package, runs=8, jobs=4,
                                      executor="thread")
         assert self._signature(serial) == self._signature(parallel)
@@ -173,11 +179,13 @@ class TestParallelHarness:
     def test_stop_on_first_race_returns_the_serial_prefix(self, listing1_package,
                                                           jobs, executor):
         full = run_package_tests(listing1_package, runs=12, jobs=1)
+        SCHEDULE_CLASS_REGISTRY.clear()
         early = run_package_tests(listing1_package, runs=12, jobs=jobs,
                                   executor=executor, stop_on_first_race=True)
         assert early.reports
         assert early.runs <= full.runs
         # The early-exit prefix is deterministic at any worker count.
+        SCHEDULE_CLASS_REGISTRY.clear()
         serial_early = run_package_tests(listing1_package, runs=12, jobs=1,
                                          stop_on_first_race=True)
         assert self._signature(early) == self._signature(serial_early)

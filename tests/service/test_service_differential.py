@@ -19,6 +19,7 @@ from repro.core.database import ExampleDatabase
 from repro.core.pipeline import DrFix
 from repro.corpus.generator import CorpusConfig, CorpusGenerator
 from repro.runtime.harness import run_package_tests
+from repro.runtime.schedule_index import SCHEDULE_CLASS_REGISTRY
 from repro.service import DetectRequest, DrFixService, FixRequest
 from repro.service.core import detect_payload, fix_outcome_payload, normalize_addresses
 
@@ -54,16 +55,24 @@ def representative_cases(dataset):
 
 
 def direct_detect(case, config):
-    """What ``drfix detect`` computes, rendered as the service would."""
+    """What ``drfix detect`` computes, rendered as the service would.
+
+    The direct arm and the served arm each start from an empty schedule-class
+    registry, so the served arm recomputes instead of replaying this sweep.
+    """
+    SCHEDULE_CLASS_REGISTRY.clear()
     result = run_package_tests(
         case.package, runs=RUNS, seed=0,
         jobs=config.harness_jobs, engine=config.engine or None,
     )
+    SCHEDULE_CLASS_REGISTRY.clear()
     return normalize_addresses(detect_payload(case.package, result))
 
 
 def direct_fix(case, config, database):
-    """What ``drfix fix`` computes (fresh pipeline per report), rendered."""
+    """What ``drfix fix`` computes (fresh pipeline per report), rendered,
+    isolated from the served arm like :func:`direct_detect`."""
+    SCHEDULE_CLASS_REGISTRY.clear()
     detection = run_package_tests(
         case.package, runs=RUNS, seed=0,
         jobs=config.harness_jobs, engine=config.engine or None,
@@ -75,6 +84,7 @@ def direct_fix(case, config, database):
             pipeline = DrFix(case.package, config=config, database=database)
             outcome = pipeline.fix_report(report, baseline_hashes=baseline)
             results.append(fix_outcome_payload(case.package, outcome))
+    SCHEDULE_CLASS_REGISTRY.clear()
     return normalize_addresses({
         "package": detection.package,
         "built": detection.built,
