@@ -5,10 +5,20 @@ race detection runs, skeletonization, embedding, and retrieval.
 """
 
 from repro.core.database import ExampleDatabase
-from repro.core.skeleton import Skeletonizer
-from repro.embedding.embedder import CodeEmbedder
+from repro.core.skeleton import Skeletonizer, clear_skeleton_cache
+from repro.embedding.embedder import CodeEmbedder, clear_token_cache
 from repro.runtime.harness import run_package_tests
 from repro.runtime.schedule_index import SCHEDULE_CLASS_REGISTRY
+
+
+def cold(fn):
+    """``fn`` with the skeleton memo and the token-hash cache emptied first,
+    so every round computes instead of returning the last round's result."""
+    def run():
+        clear_skeleton_cache()
+        clear_token_cache()
+        return fn()
+    return run
 
 
 def test_bench_race_detection_run(benchmark, context):
@@ -26,25 +36,25 @@ def test_bench_race_detection_run(benchmark, context):
 def test_bench_skeletonization(benchmark, context):
     case = next(c for c in context.dataset.evaluation if c.expected_unfixed_reason is None)
     skeletonizer = Skeletonizer()
-    skeleton = benchmark(
+    skeleton = benchmark(cold(
         lambda: skeletonizer.skeletonize_source(
             case.racy_source(), racy_variables=[case.racy_variable]
         ).text
-    )
+    ))
     assert "racyVar" in skeleton or "func1" in skeleton
 
 
 def test_bench_embedding(benchmark, context):
     case = context.dataset.evaluation[0]
     embedder = CodeEmbedder(context.base_config.embedder)
-    vector = benchmark(lambda: embedder.embed(case.racy_source()))
+    vector = benchmark(cold(lambda: embedder.embed(case.racy_source())))
     assert vector.shape[0] == context.base_config.embedder.dimensions
 
 
 def test_bench_retrieval(benchmark, context):
     case = next(c for c in context.dataset.evaluation if c.expected_unfixed_reason is None)
     database: ExampleDatabase = context.skeleton_database
-    result = benchmark(
+    result = benchmark(cold(
         lambda: database.query_code(case.racy_source(), racy_variable=case.racy_variable)
-    )
+    ))
     assert result is not None

@@ -43,8 +43,10 @@ from repro.core.config import DrFixConfig
 from repro.errors import ConfigError
 from repro.core.database import ExampleDatabase
 from repro.core.pipeline import DrFix
+from repro.core.skeleton import clear_skeleton_cache
 from repro.corpus.generator import CorpusConfig, CorpusGenerator
 from repro.diagnosis import RaceDiagnoser, all_patterns, category_from_value
+from repro.embedding.embedder import clear_token_cache
 from repro.evaluation.executor import JOBS_ENV_VAR, resolve_jobs
 from repro.evaluation.experiments import all_experiment_tables
 from repro.evaluation.reporting import render_report
@@ -338,9 +340,10 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
     Builds one corpus + database, then times the same arm four ways — serial
     cold, parallel cold, store-cold, store-warm — on independent copies of the
-    cases, each phase starting from an empty schedule-class registry (so no
-    phase replays a harness sweep an earlier one ran), and checks that every
-    phase produces identical metrics.
+    cases, each phase starting from an empty schedule-class registry, skeleton
+    memo and token-hash cache (so no phase replays a harness sweep or reuses a
+    retrieval key an earlier one computed), and checks that every phase
+    produces identical metrics.
     """
     # Benchmarking parallelism with one worker would be meaningless, so with
     # no --jobs and no DRFIX_JOBS the parallel phase uses every CPU.
@@ -360,6 +363,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
         )
         fresh = copy.deepcopy(cases)
         SCHEDULE_CLASS_REGISTRY.clear(counters=False)
+        clear_skeleton_cache()
+        clear_token_cache()
         start = time.perf_counter()
         run = runner.run(fresh, label=label)
         elapsed = time.perf_counter() - start

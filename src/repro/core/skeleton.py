@@ -22,6 +22,8 @@ then embedded and used as the retrieval key.
 
 from __future__ import annotations
 
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Set
 
@@ -30,11 +32,11 @@ from repro.golang.analysis import (
     SYNC_METHOD_NAMES,
     SYNC_PACKAGES,
     find_enclosing_function,
+    line_spans,
     names_on_lines,
-    node_line_span,
     stmt_is_concurrency,
 )
-from repro.golang.parser import parse_file
+from repro.golang.parser import has_package_clause, parse_file
 from repro.golang.printer import print_node
 from repro.golang.symbols import UNIVERSE_NAMES
 
@@ -65,6 +67,28 @@ class SkeletonResult:
 
     def __str__(self) -> str:  # pragma: no cover - convenience
         return self.text
+
+    def copy(self) -> "SkeletonResult":
+        """A copy that shares no list or dict with ``self``."""
+        return SkeletonResult(
+            text=self.text,
+            racy_variables=list(self.racy_variables),
+            kept_functions=list(self.kept_functions),
+            rename_map=dict(self.rename_map),
+        )
+
+
+#: Most distinct inputs :meth:`Skeletonizer.skeletonize_source` keeps.  An
+#: ``evaluate`` run sees about 150, each a few KB of text.
+_SKELETON_CACHE_CAPACITY = 1024
+_skeleton_cache: "OrderedDict[tuple, SkeletonResult]" = OrderedDict()
+_skeleton_cache_lock = threading.Lock()
+
+
+def clear_skeleton_cache() -> None:
+    """Forget every memoized skeleton (benchmarks time real work with it)."""
+    with _skeleton_cache_lock:
+        _skeleton_cache.clear()
 
 
 class Skeletonizer:
@@ -127,12 +151,29 @@ class Skeletonizer:
         racy_variables: Sequence[str] = (),
         filename: str = "<source>",
     ) -> SkeletonResult:
-        """Parse ``source`` (a file or a bare function) and skeletonize it."""
-        text = source
-        if "package " not in source.split("\n", 3)[0] and "package" not in source[:200]:
-            text = "package p\n\n" + source
-        file = parse_file(text, filename)
-        return self.skeletonize_file(file, racy_lines=racy_lines, racy_variables=racy_variables)
+        """Parse ``source`` (a file or a bare function) and skeletonize it.
+
+        Each distinct ``(source, racy_lines, racy_variables, filename,
+        preserve_names)`` is skeletonized once per process and kept in a
+        bounded LRU; every call returns a fresh :class:`SkeletonResult`.
+        """
+        key = (source, tuple(racy_lines), tuple(racy_variables), filename,
+               frozenset(self.preserve_names))
+        with _skeleton_cache_lock:
+            result = _skeleton_cache.get(key)
+            if result is not None:
+                _skeleton_cache.move_to_end(key)
+        if result is None:
+            text = source if has_package_clause(source) else "package p\n\n" + source
+            file = parse_file(text, filename)
+            result = self.skeletonize_file(file, racy_lines=racy_lines,
+                                           racy_variables=racy_variables)
+            with _skeleton_cache_lock:
+                # A concurrent miss may have stored an equal result first; keep one.
+                result = _skeleton_cache.setdefault(key, result)
+                if len(_skeleton_cache) > _SKELETON_CACHE_CAPACITY:
+                    _skeleton_cache.popitem(last=False)
+        return result.copy()
 
     # ------------------------------------------------------------------
     # Racy-variable inference
@@ -171,10 +212,11 @@ class Skeletonizer:
         assigned: Set[str] = set()
         if decl.body is None:
             return assigned
+        spans = line_spans(decl.body)
         for node in ast.walk(decl.body):
             if not isinstance(node, (ast.AssignStmt, ast.IncDecStmt)):
                 continue
-            low, high = node_line_span(node)
+            low, high = spans[id(node)]
             if not (low <= line <= high):
                 continue
             targets = node.lhs if isinstance(node, ast.AssignStmt) else [node.x]

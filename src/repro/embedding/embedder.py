@@ -14,6 +14,7 @@ normalized into ``d`` dimensions, has exactly these properties.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from dataclasses import dataclass
 from typing import Iterable, List, Sequence
@@ -38,6 +39,12 @@ class EmbedderConfig:
     split_identifiers: bool = True
 
 
+#: Most distinct ``(token, dimensions)`` pairs :func:`_hash_token` keeps; an
+#: ``evaluate`` run hashes about 65 k tokens drawn from far fewer distinct ones.
+_TOKEN_CACHE_CAPACITY = 1 << 16
+
+
+@functools.lru_cache(maxsize=_TOKEN_CACHE_CAPACITY)
 def _hash_token(token: str, dimensions: int) -> tuple[int, float]:
     """Map a token to a (dimension, sign) pair using a stable hash."""
     digest = hashlib.blake2b(token.encode("utf-8"), digest_size=8).digest()
@@ -45,6 +52,11 @@ def _hash_token(token: str, dimensions: int) -> tuple[int, float]:
     index = value % dimensions
     sign = 1.0 if (value >> 32) % 2 == 0 else -1.0
     return index, sign
+
+
+def clear_token_cache() -> None:
+    """Forget every memoized token hash (benchmarks time real work with it)."""
+    _hash_token.cache_clear()
 
 
 class CodeEmbedder:

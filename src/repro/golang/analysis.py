@@ -13,7 +13,7 @@ Helpers used by the skeletonizer (Section 4.3), the race-info extractor
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.golang import ast_nodes as ast
 
@@ -114,6 +114,41 @@ def node_line_span(node: ast.Node) -> Tuple[int, int]:
     return (min(lines), max(lines))
 
 
+def line_spans(root: ast.Node) -> Dict[int, Tuple[int, int]]:
+    """:func:`node_line_span` of ``root`` and of every node under it, keyed by
+    ``id(node)``, from one pass.  The keys are valid only while the tree is
+    alive, so callers keep the result local."""
+    # Breadth-first, so every parent precedes its children and one sweep
+    # from the end folds each subtree into its parent.
+    nodes = [root]
+    parents = [-1]
+    for index, node in enumerate(nodes):
+        for child in node.children():
+            nodes.append(child)
+            parents.append(index)
+    low = [node.pos.line for node in nodes]
+    high = list(low)
+    for index in range(len(nodes) - 1, 0, -1):
+        line = low[index]
+        if line <= 0:
+            continue
+        parent = parents[index]
+        if low[parent] <= 0 or line < low[parent]:
+            low[parent] = line
+        if high[index] > high[parent]:
+            high[parent] = high[index]
+    return {
+        id(node): (low[index], high[index]) if low[index] > 0 else (0, 0)
+        for index, node in enumerate(nodes)
+    }
+
+
+#: Statements whose names :func:`names_on_lines` skips: they would pull in
+#: their whole bodies.
+_COMPOUND_STMTS = (ast.BlockStmt, ast.IfStmt, ast.ForStmt, ast.RangeStmt,
+                   ast.SwitchStmt, ast.SelectStmt)
+
+
 def names_on_lines(func: ast.FuncDecl | ast.FuncLit, lines: Iterable[int]) -> Set[str]:
     """Return the identifier names referenced by statements covering ``lines``."""
     wanted = set(lines)
@@ -121,17 +156,12 @@ def names_on_lines(func: ast.FuncDecl | ast.FuncLit, lines: Iterable[int]) -> Se
     body = func.body
     if body is None:
         return names
+    spans = line_spans(body)
     for node in ast.walk(body):
-        if not isinstance(node, ast.Stmt):
+        if not isinstance(node, ast.Stmt) or isinstance(node, _COMPOUND_STMTS):
             continue
-        low, high = node_line_span(node)
-        stmt_lines = set(range(low, high + 1)) if low else set()
-        if not (stmt_lines & wanted):
-            continue
-        if isinstance(node, (ast.BlockStmt, ast.IfStmt, ast.ForStmt, ast.RangeStmt,
-                             ast.SwitchStmt, ast.SelectStmt)):
-            # Only leaf-ish statements contribute names; compound statements
-            # would pull in their whole bodies.
+        low, high = spans[id(node)]
+        if not low or not any(low <= line <= high for line in wanted):
             continue
         for inner in ast.walk(node):
             if isinstance(inner, ast.Ident):
@@ -180,13 +210,14 @@ def find_enclosing_function(file: ast.File, line: int) -> Optional[EnclosingFunc
     for decl in file.func_decls():
         if decl.body is None:
             continue
-        low, high = node_line_span(decl)
+        spans = line_spans(decl)
+        low, high = spans[id(decl)]
         if not (low <= line <= high):
             continue
         closure: Optional[ast.FuncLit] = None
         for node in ast.walk(decl.body):
             if isinstance(node, ast.FuncLit):
-                clow, chigh = node_line_span(node)
+                clow, chigh = spans[id(node)]
                 if clow <= line <= chigh:
                     closure = node
         best = EnclosingFunction(decl=decl, closure=closure)

@@ -11,8 +11,9 @@ source.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterator, List, Optional, TypeVar
+from dataclasses import dataclass, field, fields
+from typing import (Dict, Iterator, List, Optional, Tuple, TypeVar, Union, get_args,
+                    get_origin, get_type_hints)
 
 from repro.golang.tokens import Position
 
@@ -29,39 +30,110 @@ class Node:
     pos: Position = field(default_factory=Position, kw_only=True)
 
     def children(self) -> Iterator["Node"]:
-        """Yield direct child nodes (used by generic walkers)."""
-        for value in self.__dict__.values():
-            if isinstance(value, Node):
-                yield value
-            elif isinstance(value, list):
-                for item in value:
+        """Yield direct child nodes in dataclass-field order."""
+        state = self.__dict__
+        for name, is_list in _layout(type(self)).children:
+            value = state[name]
+            if is_list:
+                for item in value or ():
                     if isinstance(item, Node):
                         yield item
+            elif isinstance(value, Node):
+                yield value
 
 
 NodeT = TypeVar("NodeT", bound=Node)
 
 
+class _Layout:
+    """Which dataclass fields of one node class hold child nodes or lists.
+
+    ``children`` lists ``(name, is_list)`` for every field typed as a node or
+    a list of nodes, in field order, and ``reverse`` is the same reversed.
+    ``copied`` names every field :func:`clone` must copy: those, plus the
+    other list fields (``List[str]``).  ``size`` counts all fields, so
+    :func:`clone` can spot non-field attributes.
+    """
+
+    __slots__ = ("children", "reverse", "copied", "size")
+
+    def __init__(self, cls: type):
+        hints = get_type_hints(cls)
+        children: List[Tuple[str, bool]] = []
+        copied: List[str] = []
+        for f in fields(cls):
+            hint = hints[f.name]
+            if get_origin(hint) is list:
+                copied.append(f.name)
+                if _is_node_type(get_args(hint)[0]):
+                    children.append((f.name, True))
+                continue
+            if get_origin(hint) is Union:
+                options = [arg for arg in get_args(hint) if arg is not type(None)]
+                hint = options[0] if len(options) == 1 else None
+            if _is_node_type(hint):
+                copied.append(f.name)
+                children.append((f.name, False))
+        self.children = tuple(children)
+        self.reverse = tuple(reversed(children))
+        self.copied = tuple(copied)
+        self.size = len(fields(cls))
+
+
+def _is_node_type(hint: object) -> bool:
+    return isinstance(hint, type) and issubclass(hint, Node)
+
+
+_LAYOUTS: Dict[type, _Layout] = {}
+
+
+def _layout(cls: type) -> _Layout:
+    """The field table of ``cls``, built on first use and kept for good."""
+    layout = _LAYOUTS.get(cls)
+    if layout is None:
+        # Two threads may build the same table; the tables are equal.
+        layout = _LAYOUTS.setdefault(cls, _Layout(cls))
+    return layout
+
+
 def clone(node: NodeT) -> NodeT:
     """Return a structural copy of ``node``: every node and list is fresh, the
-    immutable leaves (strings, numbers, positions) are shared."""
-    copied = object.__new__(type(node))
-    state = {}
-    for name, value in node.__dict__.items():
+    immutable leaves (strings, numbers, positions) are shared.  Non-field
+    attributes are copied the same way."""
+    layout = _layout(type(node))
+    state = node.__dict__.copy()
+    for name in layout.copied if len(state) == layout.size else list(state):
+        value = state[name]
         if isinstance(value, Node):
-            value = clone(value)
+            state[name] = clone(value)
         elif isinstance(value, list):
-            value = [clone(item) if isinstance(item, Node) else item for item in value]
-        state[name] = value
+            state[name] = [clone(item) if isinstance(item, Node) else item for item in value]
+    copied = object.__new__(type(node))
     copied.__dict__ = state
     return copied
 
 
 def walk(node: Node) -> Iterator[Node]:
-    """Yield ``node`` and every descendant in depth-first pre-order."""
-    yield node
-    for child in node.children():
-        yield from walk(child)
+    """Yield ``node`` and every descendant in depth-first pre-order, children
+    in dataclass-field order.  The walk keeps its own stack, so it never
+    recurses however deep the tree is."""
+    stack = [node]
+    pop = stack.pop
+    push = stack.append
+    layouts = _LAYOUTS
+    while stack:
+        node = pop()
+        yield node
+        state = node.__dict__
+        layout = layouts.get(type(node)) or _layout(type(node))
+        for name, is_list in layout.reverse:
+            value = state[name]
+            if is_list:
+                for item in reversed(value or ()):
+                    if isinstance(item, Node):
+                        push(item)
+            elif isinstance(value, Node):
+                push(value)
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ pointers, variadic calls, and type assertions.
 
 from __future__ import annotations
 
+import re
 import threading
 from collections import OrderedDict
 from typing import List, Optional, Tuple
@@ -19,6 +20,14 @@ from repro.errors import GoSyntaxError
 from repro.golang import ast_nodes as ast
 from repro.golang.lexer import tokenize
 from repro.golang.tokens import ASSIGN_OPS, PRECEDENCE, Position, Token, TokenKind
+
+#: Deepest nesting :class:`Parser` accepts.  Blocks, if/switch/select
+#: statements, labels, function literals, parentheses, unary operators, types,
+#: composite literals, and each link of a binary-operator or selector/call/index
+#: chain count one level.  A deeper source is a :class:`GoSyntaxError`, so every
+#: accepted tree stays shallow enough for the passes that recurse (``clone``,
+#: the printer, the compiler).
+MAX_NESTING_DEPTH = 128
 
 # Tokens that may start a type expression.
 _TYPE_START = {
@@ -59,6 +68,10 @@ class Parser:
         # When > 0, a bare `{` following an identifier is NOT treated as a
         # composite literal (mirrors Go's rule for if/for/switch headers).
         self._no_composite = 0
+        # Current nesting level, bounded by MAX_NESTING_DEPTH.  Only the
+        # generic-type backtrack catches a syntax error mid-parse, and it
+        # restores the level, so no other path needs a ``finally``.
+        self._depth = 0
 
     # ------------------------------------------------------------------
     # Token-stream helpers
@@ -96,6 +109,12 @@ class Parser:
 
     def error(self, message: str) -> GoSyntaxError:
         return GoSyntaxError(message, self.filename, self.tok.line, self.tok.column)
+
+    def _nest(self) -> None:
+        """Enter one more nesting level; refuse to pass MAX_NESTING_DEPTH."""
+        self._depth += 1
+        if self._depth > MAX_NESTING_DEPTH:
+            raise self.error(f"nesting deeper than {MAX_NESTING_DEPTH} levels")
 
     def skip_semicolons(self) -> None:
         while self.at(TokenKind.SEMICOLON):
@@ -310,6 +329,12 @@ class Parser:
 
     def parse_type(self) -> ast.Expr:
         """Parse a type expression."""
+        self._nest()
+        type_ = self._parse_type()
+        self._depth -= 1
+        return type_
+
+    def _parse_type(self) -> ast.Expr:
         pos = self.tok.pos
         kind = self.tok.kind
         if kind is TokenKind.IDENT:
@@ -320,7 +345,7 @@ class Parser:
                 expr = ast.SelectorExpr(x=expr, sel=sel, pos=pos)
             # Generic instantiation such as `Foo[Bar]` — record only the base type.
             if self.at(TokenKind.LBRACK) and self.peek().kind in _TYPE_START and self.peek().kind is not TokenKind.LBRACK:
-                save = self.index
+                save, depth = self.index, self._depth
                 try:
                     self.advance()
                     self.parse_type()
@@ -329,7 +354,7 @@ class Parser:
                     else:
                         self.index = save
                 except GoSyntaxError:
-                    self.index = save
+                    self.index, self._depth = save, depth
             return expr
         if kind is TokenKind.MUL:
             self.advance()
@@ -433,12 +458,14 @@ class Parser:
 
     def parse_block(self) -> ast.BlockStmt:
         pos = self.expect(TokenKind.LBRACE, "block").pos
+        self._nest()
         block = ast.BlockStmt(pos=pos)
         self.skip_semicolons()
         while not self.at(TokenKind.RBRACE, TokenKind.EOF):
             block.stmts.append(self.parse_stmt())
             self.skip_semicolons()
         self.expect(TokenKind.RBRACE, "block")
+        self._depth -= 1
         return block
 
     def parse_stmt(self) -> ast.Stmt:
@@ -492,7 +519,10 @@ class Parser:
             label = self.advance().text
             self.advance()  # ':'
             self.skip_semicolons()
-            return ast.LabeledStmt(label=label, stmt=self.parse_stmt(), pos=pos)
+            self._nest()
+            stmt = self.parse_stmt()
+            self._depth -= 1
+            return ast.LabeledStmt(label=label, stmt=stmt, pos=pos)
         stmt = self.parse_simple_stmt()
         self.expect_semi()
         return stmt
@@ -529,6 +559,7 @@ class Parser:
 
     def _parse_if(self) -> ast.IfStmt:
         pos = self.expect(TokenKind.IF).pos
+        self._nest()
         self._no_composite += 1
         try:
             init: Optional[ast.Stmt] = None
@@ -552,6 +583,7 @@ class Parser:
                 else_ = self.parse_block()
         if not self.at(TokenKind.ELSE):
             self.expect_semi()
+        self._depth -= 1
         return ast.IfStmt(init=init, cond=cond, body=body, else_=else_, pos=pos)
 
     def _parse_for(self) -> ast.Stmt:
@@ -603,6 +635,7 @@ class Parser:
 
     def _parse_switch(self) -> ast.SwitchStmt:
         pos = self.expect(TokenKind.SWITCH).pos
+        self._nest()
         init: Optional[ast.Stmt] = None
         tag: Optional[ast.Expr] = None
         self._no_composite += 1
@@ -641,10 +674,12 @@ class Parser:
             cases.append(ast.CaseClause(exprs=exprs, body=body, pos=cpos))
         self.expect(TokenKind.RBRACE, "switch statement")
         self.expect_semi()
+        self._depth -= 1
         return ast.SwitchStmt(init=init, tag=tag, cases=cases, pos=pos)
 
     def _parse_select(self) -> ast.SelectStmt:
         pos = self.expect(TokenKind.SELECT).pos
+        self._nest()
         self.expect(TokenKind.LBRACE, "select statement")
         cases: List[ast.CommClause] = []
         self.skip_semicolons()
@@ -664,6 +699,7 @@ class Parser:
             cases.append(ast.CommClause(comm=comm, body=body, pos=cpos))
         self.expect(TokenKind.RBRACE, "select statement")
         self.expect_semi()
+        self._depth -= 1
         return ast.SelectStmt(cases=cases, pos=pos)
 
     # ------------------------------------------------------------------
@@ -679,11 +715,15 @@ class Parser:
     def parse_expression(self, min_prec: int = 1) -> ast.Expr:
         """Precedence-climbing binary expression parser."""
         left = self.parse_unary()
+        depth = self._depth
         while True:
             prec = PRECEDENCE.get(self.tok.kind, 0)
             if prec < min_prec:
+                self._depth = depth
                 return left
             op = self.advance()
+            # Each link nests the chain so far one level deeper.
+            self._nest()
             right = self.parse_expression(prec + 1)
             left = ast.BinaryExpr(x=left, op=op.text, y=right, pos=left.pos)
 
@@ -693,7 +733,9 @@ class Parser:
         if kind in (TokenKind.ADD, TokenKind.SUB, TokenKind.NOT, TokenKind.XOR,
                     TokenKind.MUL, TokenKind.AND, TokenKind.ARROW):
             op = self.advance().text
+            self._nest()
             operand = self.parse_unary()
+            self._depth -= 1
             if op == "*":
                 return ast.StarExpr(x=operand, pos=pos)
             return ast.UnaryExpr(op=op, x=operand, pos=pos)
@@ -701,10 +743,13 @@ class Parser:
 
     def parse_primary(self) -> ast.Expr:
         expr = self.parse_operand()
+        # Each selector, call or index nests the chain so far one level deeper.
+        depth = self._depth
         while True:
             kind = self.tok.kind
             if kind is TokenKind.PERIOD:
                 self.advance()
+                self._nest()
                 if self.at(TokenKind.LPAREN):
                     # Type assertion `x.(T)`.
                     self.advance()
@@ -720,6 +765,7 @@ class Parser:
                     expr = ast.SelectorExpr(x=expr, sel=sel, pos=expr.pos)
             elif kind is TokenKind.LPAREN:
                 self.advance()
+                self._nest()
                 args: List[ast.Expr] = []
                 ellipsis = False
                 self._composite_ok_scope_begin()
@@ -741,6 +787,7 @@ class Parser:
                 expr = ast.CallExpr(fun=expr, args=args, ellipsis=ellipsis, pos=expr.pos)
             elif kind is TokenKind.LBRACK:
                 self.advance()
+                self._nest()
                 self._composite_ok_scope_begin()
                 try:
                     low: Optional[ast.Expr] = None
@@ -761,6 +808,7 @@ class Parser:
             elif kind is TokenKind.LBRACE and self._can_be_composite(expr):
                 expr = self._parse_composite_lit(expr)
             else:
+                self._depth = depth
                 return expr
 
     def parse_arg(self) -> ast.Expr:
@@ -787,11 +835,13 @@ class Parser:
             return ast.BasicLit(kind=token.kind.name, value=token.text, pos=pos)
         if kind is TokenKind.LPAREN:
             self.advance()
+            self._nest()
             self._composite_ok_scope_begin()
             try:
                 inner = self.parse_expression()
             finally:
                 self._composite_ok_scope_end()
+                self._depth -= 1
             self.expect(TokenKind.RPAREN, "parenthesized expression")
             return ast.ParenExpr(x=inner, pos=pos)
         if kind is TokenKind.FUNC:
@@ -808,7 +858,9 @@ class Parser:
         pos = self.expect(TokenKind.FUNC).pos
         sig = self._parse_func_signature()
         if self.at(TokenKind.LBRACE):
+            self._nest()
             body = self.parse_block()
+            self._depth -= 1
             return ast.FuncLit(type_=sig, body=body, pos=pos)
         sig.pos = pos
         return sig
@@ -835,6 +887,7 @@ class Parser:
     def _parse_composite_lit(self, type_expr: Optional[ast.Expr]) -> ast.CompositeLit:
         pos = self.expect(TokenKind.LBRACE, "composite literal").pos
         lit = ast.CompositeLit(type_=type_expr, elts=[], pos=type_expr.pos if type_expr is not None else pos)
+        self._nest()
         self._composite_ok_scope_begin()
         try:
             self.skip_semicolons()
@@ -846,6 +899,7 @@ class Parser:
                 self.skip_semicolons()
         finally:
             self._composite_ok_scope_end()
+            self._depth -= 1
         self.expect(TokenKind.RBRACE, "composite literal")
         return lit
 
@@ -869,6 +923,17 @@ def _as_call(expr: ast.Expr, pos: Position) -> ast.CallExpr:
     if isinstance(expr, ast.CallExpr):
         return expr
     return ast.CallExpr(fun=expr, args=[], pos=pos)
+
+
+#: Blank space and whole comments, then the ``package`` keyword.  A comment
+#: must run to its end, so a match cannot restart inside one.
+_PACKAGE_CLAUSE = re.compile(r"(?:\s|//[^\n]*(?:\n|$)|/\*(?:[^*]|\*(?!/))*\*/)*package\b")
+
+
+def has_package_clause(source: str) -> bool:
+    """True when ``source`` opens with a package clause (after blank space and
+    comments), so it parses as a file; a bare function or snippet does not."""
+    return _PACKAGE_CLAUSE.match(source) is not None
 
 
 #: Most distinct ``(filename, source)`` pairs :func:`parse_file` keeps.  An

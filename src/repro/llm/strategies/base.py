@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.golang import ast_nodes as ast
-from repro.golang.parser import parse_file
+from repro.golang.parser import has_package_clause, parse_file
 from repro.golang.printer import print_file, print_node
 from repro.llm.prompt_parser import FixTask
 
@@ -40,8 +40,7 @@ class ScopeCode:
 
 def parse_scope(code: str) -> Optional[ScopeCode]:
     """Parse a function- or file-scoped code item; returns None on syntax errors."""
-    stripped = code.lstrip()
-    wrapped = not stripped.startswith("package ")
+    wrapped = not has_package_clause(code)
     source = code if not wrapped else f"package {_WRAPPER_PACKAGE}\n\n" + code
     try:
         file = parse_file(source, "<scope>")
