@@ -74,8 +74,7 @@ def _representative_cases(dataset):
 def _class_stats(case) -> dict:
     """One full-budget sweep: distinct classes and the in-sweep dedup rate."""
     SCHEDULE_CLASS_REGISTRY.clear()
-    result = run_package_tests(case.package, runs=RUNS_PER_CALL,
-                               engine="compiled", dedup="on")
+    result = run_package_tests(case.package, runs=RUNS_PER_CALL, dedup="on")
     return {
         "category": str(case.category),
         "runs": result.runs,
@@ -98,10 +97,10 @@ def _detection_curve(cases) -> list:
         for case in cases:
             for seed in DETECTION_SEEDS:
                 off = run_package_tests(case.package, runs=budget, seed=seed,
-                                        engine="compiled", dedup="off")
+                                        dedup="off")
                 SCHEDULE_CLASS_REGISTRY.clear()
                 on = run_package_tests(case.package, runs=budget, seed=seed,
-                                       engine="compiled", dedup="on")
+                                       dedup="on")
                 sweeps += 1
                 raced_off += bool(off.reports)
                 raced_on += bool(on.reports)
@@ -134,7 +133,7 @@ def _time_repeated_validation(case, dedup: str, trials: int) -> tuple[float, fro
         for call in range(REPEAT_CALLS):
             saturation = SATURATION_AFTER if dedup == "on" and call else 0
             result = run_package_tests(
-                case.package, runs=RUNS_PER_CALL, engine="compiled",
+                case.package, runs=RUNS_PER_CALL,
                 dedup=dedup, saturation_after=saturation)
             collected.update(result.race_hashes())
         best = min(best, time.perf_counter() - start)

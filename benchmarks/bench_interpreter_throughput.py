@@ -1,4 +1,4 @@
-"""Interpreter throughput benchmark: tree vs compiled, cold vs cached builds.
+"""Interpreter throughput benchmark: sliced vs unsliced, cold vs cached builds.
 
 Measures the inner loop every other benchmark sits on top of — repeated
 ``run_package_tests`` invocations over corpus packages — and emits the
@@ -6,12 +6,12 @@ Measures the inner loop every other benchmark sits on top of — repeated
 
 * **build_cold_ms / build_warm_ms** — parse + lower through a cleared
   :data:`~repro.runtime.compiler.PROGRAM_CACHE` vs a cache hit;
-* **tree / compiled / sliced** — wall time and scheduler steps/sec for the
+* **compiled / sliced** — wall time and scheduler steps/sec for the
   repeated-run workload (``repeat_calls`` successive harness invocations ×
-  ``runs`` seeded runs each, the shape of a validator sweep) on each engine
+  ``runs`` seeded runs each, the shape of a validator sweep) per lowering
   mode; ``compiled`` keeps full instrumentation (slicing off — comparable to
-  the tree-walk and the pinned baseline), ``sliced`` is the slice-aware
-  default, and ``schedule_points`` reports the reduction slicing buys.  The
+  the pinned baseline), ``sliced`` is the slice-aware default, and
+  ``schedule_points`` reports the reduction slicing buys.  The
   sliced arm reports both its raw (post-elision) steps/sec and
   ``effective_steps_per_sec`` normalized to the *unsliced* step counts of
   the identical seeded sweep — raw post-elision steps/sec reads *slower*
@@ -33,8 +33,8 @@ Run standalone to (re)generate the artifact::
     PYTHONPATH=src python benchmarks/bench_interpreter_throughput.py \
         --output BENCH_interpreter.json
 
-or as a pytest smoke (used by CI) that asserts the compiled engine beats the
-tree-walk on the same workload::
+or as a pytest smoke (used by CI) that checks the slicing, schedule-class and
+incremental-rebuild gates::
 
     python -m pytest benchmarks/bench_interpreter_throughput.py -q
 """
@@ -76,8 +76,7 @@ def _representative_cases(dataset):
     return list(picks.values())
 
 
-def _time_workload(package, engine: str, trials: int = TRIALS,
-                   slicing=None) -> tuple[float, int]:
+def _time_workload(package, trials: int = TRIALS, slicing=None) -> tuple[float, int]:
     """Best-of-``trials`` wall time for the repeated-run workload + steps."""
     best = float("inf")
     steps = 0
@@ -88,8 +87,7 @@ def _time_workload(package, engine: str, trials: int = TRIALS,
             # Every call executes: a repeat of an identical sweep would
             # otherwise be replayed from the schedule-class index.
             SCHEDULE_CLASS_REGISTRY.clear()
-            result = run_package_tests(package, runs=RUNS_PER_CALL, engine=engine,
-                                       slicing=slicing)
+            result = run_package_tests(package, runs=RUNS_PER_CALL, slicing=slicing)
             steps += result.scheduler_steps
         elapsed = time.perf_counter() - start
         best = min(best, elapsed)
@@ -99,8 +97,7 @@ def _time_workload(package, engine: str, trials: int = TRIALS,
 def _schedule_class_stats(package, slicing) -> dict:
     """Total seeded runs vs distinct schedule classes for one sweep."""
     runs = REPEAT_CALLS * RUNS_PER_CALL
-    result = run_package_tests(package, runs=runs, engine="compiled",
-                               slicing=slicing)
+    result = run_package_tests(package, runs=runs, slicing=slicing)
     return {"runs": result.runs, "distinct": result.schedule_classes}
 
 
@@ -191,27 +188,20 @@ def run_benchmark(scale: float = 1.0, trials: int = TRIALS) -> dict:
         },
         "cases": {},
     }
-    totals = {"tree_s": 0.0, "compiled_s": 0.0, "tree_steps": 0, "compiled_steps": 0,
+    totals = {"compiled_s": 0.0, "compiled_steps": 0,
               "sliced_s": 0.0, "sliced_steps": 0, "class_runs": 0,
               "classes_off": 0, "classes_on": 0,
               "baseline_s": 0.0, "baseline_covered_s": 0.0}
     for case in cases:
         cold_ms, warm_ms = _time_build(case.package)
-        tree_s, tree_steps = _time_workload(case.package, "tree", trials)
-        compiled_s, compiled_steps = _time_workload(
-            case.package, "compiled", trials, slicing="off")
-        sliced_s, sliced_steps = _time_workload(
-            case.package, "compiled", trials, slicing="on")
+        compiled_s, compiled_steps = _time_workload(case.package, trials, slicing="off")
+        sliced_s, sliced_steps = _time_workload(case.package, trials, slicing="on")
         classes_off = _schedule_class_stats(case.package, "off")
         classes_on = _schedule_class_stats(case.package, "on")
         entry = {
             "category": str(case.category),
             "build_cold_ms": round(cold_ms, 3),
             "build_warm_ms": round(warm_ms, 4),
-            "tree": {
-                "seconds": round(tree_s, 6),
-                "steps_per_sec": int(tree_steps / tree_s) if tree_s else 0,
-            },
             "compiled": {
                 "seconds": round(compiled_s, 6),
                 "steps_per_sec": int(compiled_steps / compiled_s) if compiled_s else 0,
@@ -230,7 +220,6 @@ def run_benchmark(scale: float = 1.0, trials: int = TRIALS) -> dict:
                 "effective_steps_per_sec": int(compiled_steps / sliced_s)
                 if sliced_s else 0,
             },
-            "compiled_over_tree": round(tree_s / compiled_s, 3) if compiled_s else None,
             "sliced_over_compiled": round(compiled_s / sliced_s, 3) if sliced_s else None,
             "schedule_points": {
                 "off": compiled_steps,
@@ -244,9 +233,7 @@ def run_benchmark(scale: float = 1.0, trials: int = TRIALS) -> dict:
                 "distinct_on": classes_on["distinct"],
             },
         }
-        totals["tree_s"] += tree_s
         totals["compiled_s"] += compiled_s
-        totals["tree_steps"] += tree_steps
         totals["compiled_steps"] += compiled_steps
         totals["sliced_s"] += sliced_s
         totals["sliced_steps"] += sliced_steps
@@ -262,15 +249,10 @@ def run_benchmark(scale: float = 1.0, trials: int = TRIALS) -> dict:
         report["cases"][case.case_id] = entry
 
     report["totals"] = {
-        "tree_seconds": round(totals["tree_s"], 6),
         "compiled_seconds": round(totals["compiled_s"], 6),
         "sliced_seconds": round(totals["sliced_s"], 6),
-        "compiled_over_tree": round(totals["tree_s"] / totals["compiled_s"], 3)
-        if totals["compiled_s"] else None,
         "sliced_over_compiled": round(totals["compiled_s"] / totals["sliced_s"], 3)
         if totals["sliced_s"] else None,
-        "tree_steps_per_sec": int(totals["tree_steps"] / totals["tree_s"])
-        if totals["tree_s"] else 0,
         "compiled_steps_per_sec": int(totals["compiled_steps"] / totals["compiled_s"])
         if totals["compiled_s"] else 0,
         "sliced_steps_per_sec": int(totals["sliced_steps"] / totals["sliced_s"])
@@ -300,7 +282,7 @@ def run_benchmark(scale: float = 1.0, trials: int = TRIALS) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# pytest smoke (CI): compiled must beat the tree-walk on the same workload.
+# pytest smoke (CI): slicing, schedule-class and incremental-rebuild gates.
 # ---------------------------------------------------------------------------
 
 
@@ -315,13 +297,8 @@ def test_bench_interpreter_throughput_smoke():
     else:
         report = run_benchmark(scale=0.05, trials=2)
     totals = report["totals"]
-    assert totals["compiled_seconds"] > 0 and totals["tree_seconds"] > 0
-    assert totals["compiled_steps_per_sec"] > 0 and totals["tree_steps_per_sec"] > 0
-    assert all("compiled_over_tree" in case for case in report["cases"].values())
-    # Gross-regression canary only: the measured margin is ~1.3×, but shared
-    # CI runners jitter small workloads, so the gate allows noise and trips
-    # only when the lowering pass has actually regressed below the tree-walk.
-    assert totals["compiled_over_tree"] > 0.8, report["totals"]
+    assert totals["compiled_seconds"] > 0 and totals["sliced_seconds"] > 0
+    assert totals["compiled_steps_per_sec"] > 0 and totals["sliced_steps_per_sec"] > 0
     # Slicing must elide ≥30% of schedule points on the validator-shaped
     # workload.  Step counts are seeded-deterministic, so this gate is exact.
     assert totals["schedule_point_reduction"] >= 0.30, report["totals"]
@@ -355,8 +332,7 @@ def main(argv=None) -> int:
     out.write_text(json.dumps(report, indent=2) + "\n")
     totals = report["totals"]
     print(f"wrote {out}")
-    print(f"compiled over tree:     {totals['compiled_over_tree']}x "
-          f"({totals['compiled_steps_per_sec']:,} vs {totals['tree_steps_per_sec']:,} steps/s)")
+    print(f"unsliced throughput:    {totals['compiled_steps_per_sec']:,} steps/s")
     print(f"sliced over compiled:   {totals['sliced_over_compiled']}x wall-clock "
           f"({totals['sliced_effective_steps_per_sec']:,} effective steps/s, "
           f"schedule points -{totals['schedule_point_reduction']:.1%})")

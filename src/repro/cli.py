@@ -18,12 +18,10 @@ per-seed interleaving runs themselves (``--jobs``, ``--fail-fast``), and
 concurrently (``--jobs``) — all worker layers share the ``DRFIX_NESTED_BUDGET``
 budget so nesting never oversubscribes the machine.
 
-``detect`` and ``fix`` also accept ``--engine compiled|tree`` (default:
-``DRFIX_ENGINE`` or the compile-once engine): the compiled engine lowers each
-package once into pre-bound closures and reuses the build through the
-process-wide program cache; ``tree`` is the reference tree-walk.  The two are
-bit-identical (enforced by the corpus-wide differential test), so the flag
-only changes speed.
+``detect``, ``fix`` and ``serve`` run every package on the one interpreter:
+each package is lowered once into pre-bound closures and the build is reused
+through the process-wide program cache.  ``--slicing`` and ``--dedup`` trade
+instrumentation and repeated schedules for speed without changing verdicts.
 """
 
 from __future__ import annotations
@@ -235,7 +233,6 @@ def cmd_detect(args: argparse.Namespace) -> int:
         jobs=args.jobs,
         executor=args.executor,
         stop_on_first_race=args.fail_fast,
-        engine=args.engine,
         slicing=args.slicing,
         dedup=args.dedup,
     )
@@ -276,13 +273,11 @@ def cmd_fix(args: argparse.Namespace) -> int:
     config = DrFixConfig(model=args.model)
     if args.adaptive_runs:
         config = config.with_adaptive_runs()
-    if args.engine:
-        config = config.with_engine(args.engine)
     if args.slicing:
         config = config.with_slicing(args.slicing)
     if args.dedup:
         config = config.with_dedup(args.dedup)
-    detection = run_package_tests(package, runs=args.runs, engine=args.engine,
+    detection = run_package_tests(package, runs=args.runs,
                                   slicing=args.slicing, dedup=args.dedup)
     if not detection.reports:
         print("no data race detected; nothing to fix")
@@ -439,8 +434,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         return 0
     request_timeout = resolve_request_timeout(args.request_timeout)
     config = DrFixConfig(model=args.model)
-    if args.engine:
-        config = config.with_engine(args.engine)
     if args.slicing:
         config = config.with_slicing(args.slicing)
     if args.dedup:
@@ -559,12 +552,9 @@ def build_parser() -> argparse.ArgumentParser:
                         default=None, help="execution backend for the runs")
     detect.add_argument("--fail-fast", action="store_true",
                         help="cancel outstanding runs once a race is found")
-    detect.add_argument("--engine", choices=["compiled", "tree"], default=None,
-                        help="interpreter engine (default: DRFIX_ENGINE or the "
-                             "compile-once engine; the engines are bit-identical)")
     detect.add_argument("--slicing", choices=["on", "off"], default=None,
-                        help="slice-aware instrumentation elision in the "
-                             "compiled engine (default: DRFIX_SLICING or on)")
+                        help="slice-aware instrumentation elision "
+                             "(default: DRFIX_SLICING or on)")
     detect.add_argument("--dedup", choices=["on", "off"], default=None,
                         help="schedule-class deduplication across runs "
                              "(default: DRFIX_DEDUP or on)")
@@ -582,11 +572,9 @@ def build_parser() -> argparse.ArgumentParser:
     fix.add_argument("--adaptive-runs", action="store_true",
                      help="derive the validator's run count from a detection-"
                           "probability bound instead of the fixed validator_runs")
-    fix.add_argument("--engine", choices=["compiled", "tree"], default=None,
-                     help="interpreter engine for detection and validation runs")
     fix.add_argument("--slicing", choices=["on", "off"], default=None,
-                     help="slice-aware instrumentation elision in the "
-                          "compiled engine (default: DRFIX_SLICING or on)")
+                     help="slice-aware instrumentation elision "
+                          "(default: DRFIX_SLICING or on)")
     fix.add_argument("--dedup", choices=["on", "off"], default=None,
                      help="schedule-class deduplication for detection and "
                           "validation runs (default: DRFIX_DEDUP or on)")
@@ -667,8 +655,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="max requests dispatched per batch (default 4)")
     serve.add_argument("--cache-capacity", type=positive_int, default=256,
                        help="fingerprint result-cache entries (default 256)")
-    serve.add_argument("--engine", choices=["compiled", "tree"], default=None,
-                       help="interpreter engine for served runs")
     serve.add_argument("--slicing", choices=["on", "off"], default=None,
                        help="slice-aware instrumentation elision for served "
                             "runs (default: DRFIX_SLICING or on)")

@@ -79,13 +79,7 @@ class DrFixConfig:
     #: (``validator_seed``, case id) instead of sharing ``validator_seed``
     #: verbatim, making per-case randomness independent of execution order.
     per_case_seeds: bool = False
-    #: Interpreter engine for harness runs: ``""`` resolves the default
-    #: (``DRFIX_ENGINE`` env var, else the compile-once engine), ``"tree"``
-    #: forces the reference tree-walk, ``"compiled"`` forces the compiled
-    #: engine.  Execution-only: the engines are bit-identical (enforced by the
-    #: corpus-wide differential test), so results never depend on this knob.
-    engine: str = ""
-    #: Slice-aware instrumentation for compiled-engine harness runs: ``""``
+    #: Slice-aware instrumentation for harness runs: ``""``
     #: resolves the default (``DRFIX_SLICING`` env var, else on), ``"on"``
     #: elides schedule points and detector hooks on provably single-goroutine
     #: accesses, ``"off"`` keeps the fully instrumented lowering.  Detection-
@@ -122,9 +116,6 @@ class DrFixConfig:
             raise ConfigError("adaptive_hit_rate must be in (0, 1]")
         if not 0.0 < self.adaptive_confidence < 1.0:
             raise ConfigError("adaptive_confidence must be in (0, 1)")
-        if self.engine not in ("", "tree", "compiled"):
-            raise ConfigError(
-                f"unknown engine {self.engine!r} (expected tree or compiled)")
         if self.slicing not in ("", "on", "off"):
             raise ConfigError(
                 f"unknown slicing mode {self.slicing!r} (expected on or off)")
@@ -148,9 +139,6 @@ class DrFixConfig:
 
     def with_harness_jobs(self, harness_jobs: int) -> "DrFixConfig":
         return replace(self, harness_jobs=harness_jobs)
-
-    def with_engine(self, engine: str) -> "DrFixConfig":
-        return replace(self, engine=engine)
 
     def with_slicing(self, slicing: str) -> "DrFixConfig":
         return replace(self, slicing=slicing)

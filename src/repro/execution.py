@@ -57,8 +57,6 @@ R = TypeVar("R")
 JOBS_ENV_VAR = "DRFIX_JOBS"
 #: Environment variable selecting the backend (``serial``/``thread``/``process``).
 EXECUTOR_ENV_VAR = "DRFIX_EXECUTOR"
-#: Environment variable selecting the interpreter engine (``compiled``/``tree``).
-ENGINE_ENV_VAR = "DRFIX_ENGINE"
 #: Environment variable toggling slice-aware instrumentation (``on``/``off``).
 SLICING_ENV_VAR = "DRFIX_SLICING"
 #: Environment variable toggling schedule-class deduplication (``on``/``off``).
@@ -77,33 +75,6 @@ class ExecutorKind(enum.Enum):
     PROCESS = "process"
 
 
-class EngineKind(enum.Enum):
-    """Which execution engine runs a Go program's interleavings.
-
-    ``COMPILED`` is the default: the harness lowers each package once into
-    pre-bound closures (see :mod:`repro.runtime.compiler`) and reuses the
-    compiled program across every (seed, policy) run.  ``TREE`` is the
-    reference tree-walking interpreter; the corpus-wide differential test
-    asserts the two are bit-identical, and ``--engine tree`` keeps the
-    reference selectable for that harness and for debugging.
-    """
-
-    TREE = "tree"
-    COMPILED = "compiled"
-
-
-def resolve_engine(engine: "EngineKind | str | None" = None) -> EngineKind:
-    """Resolve the engine: explicit argument, then ``DRFIX_ENGINE``, then
-    the compiled engine."""
-    if isinstance(engine, EngineKind):
-        return engine
-    name = (engine or os.environ.get(ENGINE_ENV_VAR, "") or "compiled").strip().lower()
-    try:
-        return EngineKind(name)
-    except ValueError:
-        raise ConfigError(f"unknown engine {name!r} (expected tree or compiled)")
-
-
 _SLICING_NAMES = {
     "on": True, "1": True, "true": True, "yes": True,
     "off": False, "0": False, "false": False, "no": False,
@@ -114,11 +85,11 @@ def resolve_slicing(slicing: "bool | str | None" = None) -> bool:
     """Resolve slice-aware instrumentation: explicit argument, then
     ``DRFIX_SLICING``, then on.
 
-    With slicing on, the compiled engine elides schedule points and detector
+    With slicing on, the lowering pass elides schedule points and detector
     hooks on accesses the slicer proves single-goroutine (see
     :mod:`repro.golang.slicing`); ``off`` is the escape hatch that restores
     the fully instrumented lowering.  Unknown values fail fast, mirroring
-    :func:`resolve_engine` and ``DrFixConfig`` validation.
+    ``DrFixConfig`` validation.
     """
     if isinstance(slicing, bool):
         return slicing
@@ -369,10 +340,8 @@ class CaseExecutor:
 
 __all__ = [
     "CaseExecutor",
-    "EngineKind",
     "ExecutorKind",
     "DEDUP_ENV_VAR",
-    "ENGINE_ENV_VAR",
     "JOBS_ENV_VAR",
     "EXECUTOR_ENV_VAR",
     "NESTED_BUDGET_ENV_VAR",
@@ -380,7 +349,6 @@ __all__ = [
     "derive_case_seed",
     "nested_budget",
     "resolve_dedup",
-    "resolve_engine",
     "resolve_jobs",
     "resolve_kind",
     "resolve_slicing",

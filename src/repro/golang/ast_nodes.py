@@ -51,11 +51,10 @@ class _Layout:
     ``children`` lists ``(name, is_list)`` for every field typed as a node or
     a list of nodes, in field order, and ``reverse`` is the same reversed.
     ``copied`` names every field :func:`clone` must copy: those, plus the
-    other list fields (``List[str]``).  ``size`` counts all fields, so
-    :func:`clone` can spot non-field attributes.
+    other list fields (``List[str]``).
     """
 
-    __slots__ = ("children", "reverse", "copied", "size")
+    __slots__ = ("children", "reverse", "copied")
 
     def __init__(self, cls: type):
         hints = get_type_hints(cls)
@@ -77,7 +76,6 @@ class _Layout:
         self.children = tuple(children)
         self.reverse = tuple(reversed(children))
         self.copied = tuple(copied)
-        self.size = len(fields(cls))
 
 
 def _is_node_type(hint: object) -> bool:
@@ -98,11 +96,10 @@ def _layout(cls: type) -> _Layout:
 
 def clone(node: NodeT) -> NodeT:
     """Return a structural copy of ``node``: every node and list is fresh, the
-    immutable leaves (strings, numbers, positions) are shared.  Non-field
-    attributes are copied the same way."""
+    immutable leaves (strings, numbers, positions) are shared."""
     layout = _layout(type(node))
     state = node.__dict__.copy()
-    for name in layout.copied if len(state) == layout.size else list(state):
+    for name in layout.copied:
         value = state[name]
         if isinstance(value, Node):
             state[name] = clone(value)

@@ -12,13 +12,12 @@ ThreadSanitizer runtime) in the Dr.Fix pipeline.  It provides:
 * :mod:`repro.runtime.channels` / :mod:`repro.runtime.sync_primitives` — channels,
   ``select``, ``sync.Mutex``/``RWMutex``/``WaitGroup``/``Map``/``Once`` and
   ``sync/atomic``,
-* :mod:`repro.runtime.interpreter` — a tree-walking interpreter whose evaluation
-  is expressed as coroutines so the scheduler can interleave goroutines at
-  memory and synchronization operations,
-* :mod:`repro.runtime.compiler` — the compile-once execution engine: an AST
-  lowering pass producing pre-bound closures, plus the process-wide program
-  cache keyed by source fingerprint (bit-identical to the tree-walk, several
-  times faster on repeated runs),
+* :mod:`repro.runtime.compiler` — the lowering pass that compiles each
+  package once into pre-bound closures, plus the process-wide program cache
+  keyed by source fingerprint,
+* :mod:`repro.runtime.interpreter` — the interpreter that runs a compiled
+  program; every evaluation step is a coroutine so the scheduler can
+  interleave goroutines at memory and synchronization operations,
 * :mod:`repro.runtime.race_report` — ThreadSanitizer-format race reports
   (rendering and parsing) plus the stable bug hash used by the validator,
 * :mod:`repro.runtime.harness` — a ``go test``-style harness that discovers
@@ -29,7 +28,6 @@ ThreadSanitizer runtime) in the Dr.Fix pipeline.  It provides:
 from repro.runtime.race_report import RaceReport, StackFrame
 from repro.runtime.compiler import (
     PROGRAM_CACHE,
-    CompiledInterpreter,
     CompiledProgram,
     ProgramCache,
 )
@@ -50,7 +48,6 @@ from repro.runtime.scheduler import (
 
 __all__ = [
     "PROGRAM_CACHE",
-    "CompiledInterpreter",
     "CompiledProgram",
     "ProgramCache",
     "RaceReport",

@@ -1,14 +1,13 @@
-"""Compile-once execution engine: AST lowering and the program cache.
+"""The lowering pass and the program cache.
 
-The tree-walking :class:`~repro.runtime.interpreter.Interpreter` re-decides,
-on every visit of every node, *what the node is* (``isinstance`` ladders),
-*what its constants mean* (re-parsing literal text), and *where names point*
-(builtin tables, package checks).  Those decisions depend only on the AST, so
-this module hoists them into a one-time **lowering pass**: every statement and
-expression is compiled into a pre-bound Python closure ``(interp, goroutine,
-env) -> generator`` that performs exactly the tree-walk's work — the same
-scheduling-point yields, the same detector callbacks, the same ``Cell``
-allocations in the same order — with the per-visit dispatch already resolved.
+Which node kind a statement or expression is (``isinstance`` ladders), what
+its constants mean (literal text), and where its names point (builtin tables,
+package checks) depend only on the AST, so they are decided once, not on every
+visit: a one-time **lowering pass** compiles every statement and expression
+into a pre-bound Python closure ``(interp, goroutine, env) -> generator`` with
+that dispatch already resolved.  The closures make the scheduling-point
+yields, the detector callbacks and the ``Cell`` allocations, in a fixed order
+that seeded schedules and rendered cell addresses depend on.
 
 Three layers:
 
@@ -18,20 +17,21 @@ Three layers:
   implementation, literals — and package members that whole-program analysis
   proves can never be shadowed — fold to constants at compile time); the rare
   intricate kinds (``select``, ``switch``, declarations) lower to thin
-  wrappers over the interpreter's reference methods, whose *sub*-expressions
-  still execute compiled.
+  wrappers over methods of :class:`~repro.runtime.interpreter.Interpreter`,
+  whose *sub*-expressions still execute compiled.
 * :class:`CompiledProgram` — the parsed files plus the shared code cache.  A
   program is built once and reused by every run: each run constructs a fresh
-  :class:`CompiledInterpreter` (fresh detector/scheduler/heap) over the same
-  compiled code.
+  :class:`~repro.runtime.interpreter.Interpreter` (fresh
+  detector/scheduler/heap) over the same compiled code.
 * :class:`ProgramCache` — a process-wide LRU keyed by a source fingerprint, so
   repeated harness invocations over the same package (the validator runs
   thousands of them) skip parsing *and* lowering.  Parse failures are cached
   too: rebuilding a broken candidate is a dictionary hit.
 
-Semantics are bit-identical to the tree-walk by construction and enforced by
-the corpus-wide differential test
-(``tests/runtime/test_compiled_engine_differential.py``).
+Observable behaviour — rendered reports with cell addresses, failures,
+output, build errors — is pinned corpus-wide by a golden file recorded from
+the tree-walking interpreter this pass replaced
+(``tests/runtime/test_engine_golden.py``).
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ from repro.golang import ast_nodes as ast
 from repro.golang.parser import parse_file
 from repro.golang.slicing import FunctionSlice, slice_function, package_scope_bindings
 from repro.runtime import stdlib
-from repro.runtime.goroutine import Frame, Goroutine, STEP, blocked
+from repro.runtime.goroutine import Goroutine, STEP, blocked
 from repro.runtime.interpreter import (
     _BUILTIN_HANDLERS,
     _binary_op,
@@ -65,8 +65,7 @@ from repro.runtime.interpreter import (
     Signal,
 )
 from repro.runtime.memory import Cell, Environment
-from repro.runtime.race_detector import AccessRecord, RaceDetector
-from repro.runtime.scheduler import Scheduler
+from repro.runtime.race_detector import AccessRecord
 from repro.runtime.channels import Channel
 from repro.runtime.sync_primitives import Mutex, SyncMap, WaitGroup
 from repro.runtime.values import (
@@ -112,7 +111,7 @@ def _leaf_line(node: ast.Node) -> Optional[int]:
 
 # Per-operator implementations mirroring ``_binary_op`` branch for branch.
 # ``==``/``!=``/``+`` keep their special cases; the numeric operators coerce
-# ``None`` to 0 exactly like the reference.
+# ``None`` to 0 exactly like ``_binary_op``.
 
 
 def _op_add(left: Any, right: Any) -> Any:
@@ -166,7 +165,7 @@ def _const_value_of(node: ast.Expr) -> Tuple[bool, Any]:
     Folding never changes observable behaviour: constants are primitives, so
     no :class:`Cell` is allocated either way, and a fold is only kept when the
     operator evaluates without raising (a ``1/0`` still panics at runtime, at
-    the same point the tree-walk would)."""
+    the point of evaluation)."""
     if isinstance(node, ast.BasicLit):
         return True, _literal_value(node)
     if isinstance(node, ast.ParenExpr):
@@ -398,8 +397,8 @@ def _build_ident(node: ast.Ident, code: CodeCache) -> Code:
     meta = _meta_of(code)
     if meta is not None and name not in meta.bound_names:
         # Provably never a variable: skip the environment walk entirely and
-        # resolve through the funcs/types/package fallbacks (which mirror
-        # ``_eval_ident``'s order after a lookup miss).
+        # resolve through the funcs/types/package fallbacks, in the same
+        # order as ``run`` below after a lookup miss.
         def run_unbound(interp, goroutine, env):
             if False:  # pragma: no cover - keeps this a generator
                 yield STEP
@@ -602,7 +601,7 @@ def _build_call(node: ast.CallExpr, code: CodeCache) -> Code:
         if isinstance(callee, BoundMethod):
             # Monomorphic fast paths for the hottest sync-primitive methods,
             # mirroring ``_mutex_call``/``_waitgroup_call`` step for step;
-            # everything else falls through to the reference dispatch.
+            # everything else falls through to ``call_bound_method``.
             receiver = callee.receiver
             method_name = callee.name
             if type(receiver) is Mutex:
@@ -792,7 +791,7 @@ def _build_index(node: ast.IndexExpr, code: CodeCache) -> Code:
                 AccessRecord(goroutine.gid, False, goroutine.stack_snapshot(leaf),
                              cell.name, cell.address, goroutine.creation_stack))
             return cell.value
-        # Uncommon containers, mirroring the reference branch order.
+        # Uncommon containers.
         if isinstance(container, SyncMap):
             value, _present = container.load(_map_key(key))
             return value
@@ -807,7 +806,7 @@ def _build_index(node: ast.IndexExpr, code: CodeCache) -> Code:
 
 
 def _build_composite(node: ast.CompositeLit, code: CodeCache) -> Code:
-    """Hand-lowered composite literal, mirroring ``_eval_composite``.
+    """Hand-lowered composite literal.
 
     The ``sync.*`` zero check on the literal's *written* type is a pure
     function of the node and folds at compile time; the resolved underlying
@@ -824,7 +823,7 @@ def _build_composite(node: ast.CompositeLit, code: CodeCache) -> Code:
     static_sync = _sync_zero(type_expr)
     if static_sync is not None:
         # `sync.Mutex{}` etc.: the constructor is known statically; a fresh
-        # primitive materializes per evaluation, as in the reference.
+        # primitive materializes per evaluation.
         ctor = type(static_sync)
 
         def run_sync(interp, goroutine, env):
@@ -1271,9 +1270,8 @@ def _build_stmt(node: ast.Stmt, code: CodeCache, label: Optional[str] = None) ->
         return _build_range(node, code, line, label)
 
     # Remaining statement kinds (decl, switch, select) lower to thin
-    # wrappers over the reference implementation; their sub-statements and
-    # sub-expressions still run compiled via the interpreter's overridden
-    # dispatch methods.
+    # wrappers over interpreter methods; their sub-statements and
+    # sub-expressions still run compiled via the interpreter's dispatch.
     if isinstance(node, ast.DeclStmt):
         method = Interpreter.exec_decl_stmt
     elif isinstance(node, ast.SwitchStmt):
@@ -1301,9 +1299,9 @@ def _build_stmt(node: ast.Stmt, code: CodeCache, label: Optional[str] = None) ->
 
 def _build_range(node: ast.RangeStmt, code: CodeCache, line: int,
                  label: Optional[str]) -> Code:
-    """Hand-lowered ``for ... range``, mirroring ``exec_range`` exactly
-    (per-loop variable cells, ``_range_items`` iteration, write/assign order,
-    signal handling, trailing schedule point)."""
+    """Hand-lowered ``for ... range``: per-loop variable cells,
+    ``_range_items`` iteration, key then value write (or assignment), body
+    signal handling, and a trailing schedule point per iteration."""
     x_code = compile_expr(node.x, code)
     body_code = compile_block(node.body, code)
     is_define = node.tok == ":="
@@ -1447,9 +1445,9 @@ def _build_assign(node: ast.AssignStmt, code: CodeCache, line: int) -> Code:
 def _build_call_plan(func_type: ast.FuncType):
     """Flatten a function type's parameter/result fields into binding lists.
 
-    Mirrors ``_bind_parameters``'s nested iteration, including its quirks
-    (unnamed params bind as ``"_"``; the variadic flag attaches to the last
-    parameter *name* by equality)."""
+    The flat lists follow the fields' nested order, quirks included: unnamed
+    params bind as ``"_"``, and the variadic flag attaches to the last
+    parameter *name* by equality."""
     params: List[Tuple[str, bool, Optional[ast.Expr]]] = []
     for param in func_type.params:
         names = param.names or ["_"]
@@ -1624,154 +1622,6 @@ class CompiledProgram:
                 self._unit_keys[decl_id] = tuple(all_keys[start:end])
 
 
-class CompiledInterpreter(Interpreter):
-    """An interpreter whose statement/expression dispatch is precompiled.
-
-    Inherits every reference method — a compiled node may delegate to them,
-    and their recursive ``self.eval_expr``/``self.exec_stmt`` calls re-enter
-    the compiled dispatch below, so mixed execution stays bit-identical."""
-
-    def __init__(
-        self,
-        program: CompiledProgram,
-        detector: Optional[RaceDetector] = None,
-        scheduler: Optional[Scheduler] = None,
-    ):
-        super().__init__(program.files, detector=detector, scheduler=scheduler)
-        self.program = program
-        self._code = program.code
-
-    def eval_expr(self, goroutine: Goroutine, expr: ast.Expr, env: Environment) -> Generator:
-        entry = self._code.get(id(expr))
-        if entry is None or entry[0] is not expr:
-            closure = compile_expr(expr, self._code)
-        else:
-            closure = entry[1]
-        result = yield from closure(self, goroutine, env)
-        return result
-
-    def eval_expr_multi(self, goroutine: Goroutine, expr: ast.Expr, env: Environment,
-                        n_targets: int) -> Generator:
-        if n_targets == 1:
-            result = yield from self.eval_expr(goroutine, expr, env)
-            return result
-        result = yield from Interpreter.eval_expr_multi(self, goroutine, expr, env, n_targets)
-        return result
-
-    def exec_stmt(self, goroutine: Goroutine, stmt: ast.Stmt, env: Environment) -> Generator:
-        entry = self._code.get(id(stmt))
-        if entry is None or entry[0] is not stmt:
-            closure = compile_stmt(stmt, self._code)
-        else:
-            closure = entry[1]
-        signal = yield from closure(self, goroutine, env)
-        return signal
-
-    def exec_block(self, goroutine: Goroutine, block: ast.BlockStmt,
-                   env: Environment) -> Generator:
-        entry = self._code.get(id(block))
-        if entry is None or entry[0] is not block:
-            closure = compile_block(block, self._code)
-        else:
-            closure = entry[1]
-        signal = yield from closure(self, goroutine, env)
-        return signal
-
-    def call_function(self, goroutine: Goroutine, func: FuncValue, args: List[Any],
-                      node: Optional[ast.Node]) -> Generator:
-        """The reference ``call_function`` with per-signature work precompiled.
-
-        The parameter/result binding plan is derived from the function type
-        once and cached; binding then runs one flat loop.  Every observable
-        effect — declare order (and therefore cell addresses), struct copies,
-        zero values, frame bookkeeping, deferred-call unwinding — matches the
-        reference implementation exactly."""
-        code = self._code
-        decl = func.decl
-        if decl is not None:
-            body = decl.body
-            func_type = decl.type_
-            parent_env = self.globals
-            file_name = self._func_files.get(id(decl), "<source>")
-        else:
-            lit = func.lit
-            body = lit.body
-            func_type = lit.type_
-            parent_env = func.env if func.env is not None else self.globals
-            if func.file:
-                file_name = func.file
-            else:
-                file_name = goroutine.stack[-1].file if goroutine.stack else "<source>"
-        if body is None:
-            raise GoRuntimeError(f"function {func.display_name()} has no body")
-        plan_entry = code.get(id(func_type))
-        if plan_entry is not None and plan_entry[0] is func_type:
-            params, results, flat_params = plan_entry[1]
-        else:
-            params, results, flat_params = _build_call_plan(func_type)
-            code[id(func_type)] = (func_type, (params, results, flat_params))
-
-        env = Environment(parent=parent_env)
-        if decl is not None and decl.recv is not None:
-            receiver_value = func.bound_receiver
-            for recv_name in decl.recv.names:
-                env.declare(recv_name, receiver_value)
-        if len(args) == 1 and isinstance(args[0], TupleValue) and flat_params > 1:
-            args = list(args[0].values)
-        index = 0
-        n_args = len(args)
-        for name, is_variadic, type_ in params:
-            if is_variadic:
-                rest = [_copy_struct(v) if isinstance(v, StructValue) else v
-                        for v in args[index:]]
-                env.declare(name, SliceValue(elements=[Cell(value=v) for v in rest],
-                                             name=name))
-                index = n_args
-            else:
-                value = args[index] if index < n_args else self._zero_for_type(type_)
-                # Inlined ``_pass_value``: Go's value semantics copy structs.
-                if isinstance(value, StructValue):
-                    value = _copy_struct(value)
-                env.declare(name, value)
-                index += 1
-        for result_name, result_type in results:
-            env.declare(result_name, self._zero_for_type(result_type))
-
-        entry = code.get(id(body))
-        if entry is None or entry[0] is not body:
-            block_code = compile_block(body, code)
-        else:
-            block_code = entry[1]
-        frame = Frame(func_name=func.display_name(), file=file_name, line=body.pos.line)
-        goroutine.push_frame(frame)
-        return_values: List[Any] = []
-        panic: Optional[BaseException] = None
-        try:
-            signal = yield from block_code(self, goroutine, env)
-            if isinstance(signal, ReturnSignal):
-                return_values = signal.values
-            if not return_values and func_type.results:
-                # Bare return with named results.
-                return_values = []
-                for result_name, _result_type in results:
-                    cell = env.lookup(result_name)
-                    return_values.append(cell.value if cell is not None else None)
-        except GoPanic as exc:
-            panic = exc
-        # Deferred calls run in LIFO order even when unwinding a panic.
-        if frame.deferred:
-            for deferred_func, deferred_args in reversed(frame.deferred):
-                yield from self._invoke(goroutine, deferred_func, list(deferred_args), node)
-        goroutine.pop_frame()
-        if panic is not None:
-            raise panic
-        if len(return_values) == 1:
-            return return_values[0]
-        if return_values:
-            return TupleValue(values=return_values)
-        return None
-
-
 # ---------------------------------------------------------------------------
 # Program cache
 # ---------------------------------------------------------------------------
@@ -1780,9 +1630,9 @@ class CompiledInterpreter(Interpreter):
 class BuiltPackage:
     """One cached build: parse results plus (lazily) the compiled programs.
 
-    Lowering is deferred until a compiled-engine run first asks for the
-    program, so a tree-only process (``--engine tree``) never pays it; parse
-    results and test discovery are shared by both engines.  Programs are kept
+    Lowering is deferred until a run first asks for the program, so a
+    caller that only needs parse results (build errors, test discovery)
+    never pays it.  Programs are kept
     per slicing mode (the two lowerings differ), and a cache-derived entry
     carries its donor's programs plus the reused declaration ids so the first
     ``ensure_program`` call re-lowers only the changed functions."""
@@ -1826,7 +1676,7 @@ class BuiltPackage:
         return self._programs.get(True) or self._programs.get(False)
 
     def ensure_program(self, slicing: "bool | str | None" = None) -> Optional[CompiledProgram]:
-        """Lower the program on first compiled-engine use (thread-safe).
+        """Lower the program on first use (thread-safe).
 
         ``slicing`` resolves through :func:`repro.execution.resolve_slicing`
         (explicit argument, then ``DRFIX_SLICING``, then on)."""

@@ -7,10 +7,8 @@ The harness owns the pieces Dr.Fix's validator needs (Section 4.4.1):
   fingerprint, so repeated harness invocations over the same package — the
   validator runs thousands — parse and compile once); syntax errors become
   build failures fed back to the model;
-* **engine selection** — each (seed, policy) run executes on the compile-once
-  engine by default, or the reference tree-walk with ``engine="tree"``; the
-  two are bit-identical (same reports, failures, and output — enforced by the
-  corpus-wide differential test);
+* **execution** — each (seed, policy) run executes the package's compiled
+  program on a fresh :class:`~repro.runtime.interpreter.Interpreter`;
 * **test discovery** — every top-level ``TestXxx`` function is a test;
 * **testing.T** — ``t.Run`` / ``t.Parallel`` follow Go's semantics: a parallel
   subtest pauses until its parent test function returns, then all parallel
@@ -46,18 +44,12 @@ from typing import Any, Dict, FrozenSet, Generator, List, Optional, Sequence, Tu
 from repro.errors import GoPanic, GoRuntimeError
 from repro.execution import (
     CaseExecutor,
-    EngineKind,
     ExecutorKind,
     resolve_dedup,
-    resolve_engine,
     resolve_slicing,
 )
 from repro.golang import ast_nodes as ast
-from repro.runtime.compiler import (
-    PROGRAM_CACHE,
-    BuiltPackage,
-    CompiledInterpreter,
-)
+from repro.runtime.compiler import PROGRAM_CACHE, BuiltPackage
 from repro.runtime.goroutine import Goroutine, STEP, blocked
 from repro.runtime.interpreter import Interpreter
 from repro.runtime.race_detector import RaceDetector
@@ -452,7 +444,6 @@ class GoTestHarness:
         executor: "ExecutorKind | str | None" = None,
         stop_on_first_race: bool = False,
         max_output_lines: int = 200,
-        engine: "EngineKind | str | None" = None,
         slicing: "bool | str | None" = None,
         dedup: "bool | str | None" = None,
         saturation_after: int = 0,
@@ -462,14 +453,8 @@ class GoTestHarness:
         self.seed = seed
         self.max_steps = max_steps
         self.policies = list(policies)
-        #: Which interpreter executes each run: the compile-once engine
-        #: (default — the package is lowered once via the process-wide
-        #: :data:`~repro.runtime.compiler.PROGRAM_CACHE` and reused across
-        #: every (seed, policy) run) or the reference tree-walk.
-        self.engine = resolve_engine(engine)
-        #: Slice-aware instrumentation for compiled-engine runs (argument,
-        #: then ``DRFIX_SLICING``, then on); ``off`` restores the fully
-        #: instrumented lowering.  The tree engine ignores it.
+        #: Slice-aware instrumentation (argument, then ``DRFIX_SLICING``,
+        #: then on); ``off`` restores the fully instrumented lowering.
         self.slicing = resolve_slicing(slicing)
         #: Schedule-class deduplication (argument, then ``DRFIX_DEDUP``,
         #: then on): memoize explored classes in the process-wide registry,
@@ -575,7 +560,7 @@ class GoTestHarness:
 
         Two invocations share a :class:`ScheduleClassIndex` exactly when they
         would replay one another's interleavings — same package bytes, base
-        seed, step budget, policy rotation, engine, slicing, and entry
+        seed, step budget, policy rotation, slicing, and entry
         functions.  The run *budget* is deliberately absent: a repeat
         invocation with a different budget still explores the same space,
         and sharing the index across budgets is what lets repeat validation
@@ -586,7 +571,6 @@ class GoTestHarness:
             self.seed,
             self.max_steps,
             tuple(p.value for p in self.policies),
-            self.engine.value,
             self.slicing,
             tuple(entries),
         )
@@ -654,7 +638,7 @@ class GoTestHarness:
             # paid once per worker rather than once per run.
             runner = partial(
                 _execute_package_run, self.package, tuple(entries), self.max_steps,
-                self.engine.value, self.slicing,
+                self.slicing,
             )
         fold: Optional[_DedupFold] = None
         if index is None:
@@ -741,13 +725,8 @@ class GoTestHarness:
         detector = RaceDetector()
         scheduler = Scheduler(seed=seed, policy=policy, max_steps=self.max_steps,
                               avoid_signatures=avoid_signatures)
-        program = (build.ensure_program(self.slicing)
-                   if self.engine is EngineKind.COMPILED else None)
-        if program is not None:
-            interp: Interpreter = CompiledInterpreter(
-                program, detector=detector, scheduler=scheduler)
-        else:
-            interp = Interpreter(build.files, detector=detector, scheduler=scheduler)
+        interp = Interpreter(build.ensure_program(self.slicing),
+                             detector=detector, scheduler=scheduler)
         failures: List[str] = []
         roots: List[TestingT] = []
 
@@ -844,7 +823,6 @@ def _execute_package_run(
     package: GoPackage,
     entries: Tuple[str, ...],
     max_steps: int,
-    engine: str,
     slicing: bool,
     spec: Tuple[int, SchedulerPolicy, FrozenSet[int]],
 ) -> RunOutcome:
@@ -859,7 +837,7 @@ def _execute_package_run(
     """
     seed, policy, avoid = spec
     harness = GoTestHarness(package, runs=1, max_steps=max_steps, jobs=1,
-                            engine=engine, slicing=slicing)
+                            slicing=slicing)
     build = harness.build()
     if build.errors:  # pragma: no cover - the dispatching harness parsed cleanly
         return RunOutcome(reports=[], failures=list(build.errors), output=[],
@@ -877,7 +855,6 @@ def run_package_tests(
     executor: "ExecutorKind | str | None" = None,
     stop_on_first_race: bool = False,
     max_output_lines: int = 200,
-    engine: "EngineKind | str | None" = None,
     slicing: "bool | str | None" = None,
     policies: Sequence[SchedulerPolicy] = DEFAULT_POLICIES,
     dedup: "bool | str | None" = None,
@@ -894,7 +871,6 @@ def run_package_tests(
         executor=executor,
         stop_on_first_race=stop_on_first_race,
         max_output_lines=max_output_lines,
-        engine=engine,
         slicing=slicing,
         dedup=dedup,
         saturation_after=saturation_after,

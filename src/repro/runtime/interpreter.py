@@ -1,6 +1,18 @@
-"""Tree-walking interpreter for the Go subset with interleaving support.
+"""The interpreter for the Go subset, with interleaving support.
 
-Every evaluation method is a Python generator: goroutines yield
+An :class:`Interpreter` executes one
+:class:`~repro.runtime.compiler.CompiledProgram`: the lowering pass in
+:mod:`repro.runtime.compiler` has turned every statement and expression into a
+pre-bound closure, and this class's dispatch (``eval_expr``, ``exec_stmt``,
+``exec_block``, ``call_function``) runs those closures.  The class supplies the
+runtime services the closures call — memory access bookkeeping, goroutine
+spawning, channels, the ``sync`` and atomic operations, builtins, conversions —
+and interprets the few constructs the lowering pass leaves to it
+(``switch``, ``select``, local declarations, slice expressions, address-of,
+non-identifier assignment targets and multi-value evaluation); their
+sub-statements and sub-expressions re-enter the compiled dispatch.
+
+Every evaluation step is a Python generator: goroutines yield
 :class:`~repro.runtime.goroutine.SchedulePoint` objects at memory accesses and
 synchronization operations, and the :class:`~repro.runtime.scheduler.Scheduler`
 decides which goroutine advances next.  Memory accesses are routed through the
@@ -22,7 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Dict, Generator, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Generator, List, Optional, Sequence, Tuple
 
 from repro.errors import GoPanic, GoRuntimeError
 from repro.golang import ast_nodes as ast
@@ -31,13 +43,12 @@ from repro.runtime.channels import Channel
 from repro.runtime.goroutine import Frame, Goroutine, GoroutineState, STEP, blocked
 from repro.runtime.memory import Cell, Environment
 from repro.runtime.race_detector import AccessRecord, RaceDetector
-from repro.runtime.scheduler import Scheduler, SchedulerPolicy
+from repro.runtime.scheduler import Scheduler
 from repro.runtime.sync_primitives import Mutex, Once, RWMutex, SyncMap, WaitGroup
 from repro.runtime.values import (
     BuiltinFunc,
     ErrorValue,
     FuncValue,
-    GoValue,
     MapValue,
     PointerValue,
     SliceValue,
@@ -49,6 +60,9 @@ from repro.runtime.values import (
     zero_value,
 )
 from repro.runtime.vector_clock import SyncVar
+
+if TYPE_CHECKING:
+    from repro.runtime.compiler import CompiledProgram
 
 
 # ---------------------------------------------------------------------------
@@ -114,15 +128,20 @@ _NUMERIC_TYPES = {
 
 
 class Interpreter:
-    """Execute a set of parsed Go files as one program."""
+    """Execute one compiled program's files as one Go program.
+
+    A program is lowered once and shared by every run; each run constructs a
+    fresh interpreter (fresh detector, scheduler and heap) over it."""
 
     def __init__(
         self,
-        files: Sequence[ast.File],
+        program: "CompiledProgram",
         detector: Optional[RaceDetector] = None,
         scheduler: Optional[Scheduler] = None,
     ):
-        self.files = list(files)
+        self.program = program
+        self._code = program.code
+        self.files = list(program.files)
         self.detector = detector if detector is not None else RaceDetector()
         self.scheduler = scheduler if scheduler is not None else Scheduler()
         self.globals = Environment()
@@ -279,38 +298,86 @@ class Interpreter:
 
     def call_function(self, goroutine: Goroutine, func: FuncValue, args: List[Any],
                       node: Optional[ast.Node]) -> Generator:
-        """Call a user-defined function or closure and return its value."""
-        body = func.body
-        if body is None:
-            raise GoRuntimeError(f"function {func.display_name()} has no body")
-        func_type = func.func_type
-        if func.decl is not None:
+        """Call a user-defined function or closure and return its value.
+
+        The parameter/result binding plan is derived from the function type
+        once and kept in the program's code cache; binding then runs one flat
+        loop.  Declare order fixes cell addresses, so it follows the plan:
+        receiver, parameters, then named results at their zero values."""
+        code = self._code
+        decl = func.decl
+        if decl is not None:
+            body = decl.body
+            func_type = decl.type_
             parent_env = self.globals
-            file_name = self.file_of(func.decl)
+            file_name = self._func_files.get(id(decl), "<source>")
         else:
+            lit = func.lit
+            body = lit.body
+            func_type = lit.type_
             parent_env = func.env if func.env is not None else self.globals
             if func.file:
                 file_name = func.file
             else:
                 file_name = goroutine.stack[-1].file if goroutine.stack else "<source>"
+        if body is None:
+            raise GoRuntimeError(f"function {func.display_name()} has no body")
+        plan_entry = code.get(id(func_type))
+        if plan_entry is not None and plan_entry[0] is func_type:
+            params, results, flat_params = plan_entry[1]
+        else:
+            from repro.runtime.compiler import _build_call_plan
+
+            params, results, flat_params = _build_call_plan(func_type)
+            code[id(func_type)] = (func_type, (params, results, flat_params))
+
         env = Environment(parent=parent_env)
-        self._bind_parameters(env, func, func_type, args)
-        frame = Frame(func_name=func.display_name(), file=file_name,
-                      line=body.pos.line if body is not None else 0)
+        if decl is not None and decl.recv is not None:
+            receiver_value = func.bound_receiver
+            for recv_name in decl.recv.names:
+                env.declare(recv_name, receiver_value)
+        if len(args) == 1 and isinstance(args[0], TupleValue) and flat_params > 1:
+            args = list(args[0].values)
+        index = 0
+        n_args = len(args)
+        for name, is_variadic, type_ in params:
+            if is_variadic:
+                rest = [_copy_struct(v) if isinstance(v, StructValue) else v
+                        for v in args[index:]]
+                env.declare(name, SliceValue(elements=[Cell(value=v) for v in rest],
+                                             name=name))
+                index = n_args
+            else:
+                value = args[index] if index < n_args else self._zero_for_type(type_)
+                # Inlined ``_pass_value``: Go's value semantics copy structs.
+                if isinstance(value, StructValue):
+                    value = _copy_struct(value)
+                env.declare(name, value)
+                index += 1
+        for result_name, result_type in results:
+            env.declare(result_name, self._zero_for_type(result_type))
+
+        entry = code.get(id(body))
+        if entry is None or entry[0] is not body:
+            from repro.runtime.compiler import compile_block
+
+            block_code = compile_block(body, code)
+        else:
+            block_code = entry[1]
+        frame = Frame(func_name=func.display_name(), file=file_name, line=body.pos.line)
         goroutine.push_frame(frame)
         return_values: List[Any] = []
         panic: Optional[BaseException] = None
         try:
-            signal = yield from self.exec_block(goroutine, body, env)
+            signal = yield from block_code(self, goroutine, env)
             if isinstance(signal, ReturnSignal):
                 return_values = signal.values
             if not return_values and func_type.results:
                 # Bare return with named results.
                 return_values = []
-                for result_field in func_type.results:
-                    for result_name in result_field.names:
-                        cell = env.lookup(result_name)
-                        return_values.append(cell.value if cell is not None else None)
+                for result_name, _result_type in results:
+                    cell = env.lookup(result_name)
+                    return_values.append(cell.value if cell is not None else None)
         except GoPanic as exc:
             panic = exc
         # Deferred calls run in LIFO order even when unwinding a panic.
@@ -325,34 +392,6 @@ class Interpreter:
         if return_values:
             return TupleValue(values=return_values)
         return None
-
-    def _bind_parameters(self, env: Environment, func: FuncValue, func_type: ast.FuncType,
-                         args: List[Any]) -> None:
-        if func.decl is not None and func.decl.recv is not None:
-            recv = func.decl.recv
-            receiver_value = func.bound_receiver
-            for recv_name in recv.names:
-                env.declare(recv_name, receiver_value)
-        if len(args) == 1 and isinstance(args[0], TupleValue):
-            flat_params = sum(len(f.names) or 1 for f in func_type.params)
-            if flat_params > 1:
-                args = list(args[0].values)
-        index = 0
-        for param in func_type.params:
-            names = param.names or ["_"]
-            for name in names:
-                if param.variadic and name == names[-1]:
-                    rest = [self._pass_value(v) for v in args[index:]]
-                    env.declare(name, SliceValue(elements=[Cell(value=v) for v in rest], name=name))
-                    index = len(args)
-                else:
-                    value = args[index] if index < len(args) else self._zero_for_type(param.type_)
-                    env.declare(name, self._pass_value(value))
-                    index += 1
-        # Named results start at their zero values.
-        for result_field in func_type.results:
-            for result_name in result_field.names:
-                env.declare(result_name, self._zero_for_type(result_field.type_))
 
     def _pass_value(self, value: Any) -> Any:
         """Apply Go's value semantics when passing/assigning: structs copy."""
@@ -399,100 +438,28 @@ class Interpreter:
 
     def exec_block(self, goroutine: Goroutine, block: ast.BlockStmt,
                    env: Environment) -> Generator:
-        child_env = env.child()
-        for stmt in block.stmts:
-            signal = yield from self.exec_stmt(goroutine, stmt, child_env)
-            if isinstance(signal, Signal):
-                return signal
-        return None
+        entry = self._code.get(id(block))
+        if entry is None or entry[0] is not block:
+            from repro.runtime.compiler import compile_block
 
-    def exec_stmt(self, goroutine: Goroutine, stmt: ast.Stmt,
-                  env: Environment) -> Generator:
-        if goroutine.stack and stmt.pos.line:
-            goroutine.stack[-1].line = stmt.pos.line
-        if isinstance(stmt, ast.ExprStmt):
-            yield from self.eval_expr(goroutine, stmt.x, env)
-            return None
-        if isinstance(stmt, ast.AssignStmt):
-            yield from self.exec_assign(goroutine, stmt, env)
-            return None
-        if isinstance(stmt, ast.DeclStmt):
-            yield from self.exec_decl_stmt(goroutine, stmt, env)
-            return None
-        if isinstance(stmt, ast.IncDecStmt):
-            yield from self.exec_incdec(goroutine, stmt, env)
-            return None
-        if isinstance(stmt, ast.SendStmt):
-            yield from self.exec_send(goroutine, stmt, env)
-            return None
-        if isinstance(stmt, ast.GoStmt):
-            yield from self.exec_go(goroutine, stmt, env)
-            return None
-        if isinstance(stmt, ast.DeferStmt):
-            yield from self.exec_defer(goroutine, stmt, env)
-            return None
-        if isinstance(stmt, ast.ReturnStmt):
-            values: List[Any] = []
-            for expr in stmt.results:
-                value = yield from self.eval_expr(goroutine, expr, env)
-                if isinstance(value, TupleValue) and len(stmt.results) == 1:
-                    values.extend(value.values)
-                else:
-                    values.append(value)
-            return ReturnSignal(values=values)
-        if isinstance(stmt, ast.BranchStmt):
-            if stmt.tok == "break":
-                return BreakSignal(label=stmt.label)
-            if stmt.tok == "continue":
-                return ContinueSignal(label=stmt.label)
-            if stmt.tok == "fallthrough":
-                return None
-            raise GoRuntimeError(f"unsupported branch statement: {stmt.tok}")
-        if isinstance(stmt, ast.BlockStmt):
-            signal = yield from self.exec_block(goroutine, stmt, env)
-            return signal
-        if isinstance(stmt, ast.IfStmt):
-            signal = yield from self.exec_if(goroutine, stmt, env)
-            return signal
-        if isinstance(stmt, ast.ForStmt):
-            signal = yield from self.exec_for(goroutine, stmt, env)
-            return signal
-        if isinstance(stmt, ast.RangeStmt):
-            signal = yield from self.exec_range(goroutine, stmt, env)
-            return signal
-        if isinstance(stmt, ast.SwitchStmt):
-            signal = yield from self.exec_switch(goroutine, stmt, env)
-            return signal
-        if isinstance(stmt, ast.SelectStmt):
-            signal = yield from self.exec_select(goroutine, stmt, env)
-            return signal
-        if isinstance(stmt, ast.LabeledStmt):
-            inner = stmt.stmt
-            setattr(inner, "_label", stmt.label)
-            signal = yield from self.exec_stmt(goroutine, inner, env)
-            if isinstance(signal, BreakSignal) and signal.label == stmt.label:
-                return None
-            return signal
-        if isinstance(stmt, ast.EmptyStmt):
-            return None
-        raise GoRuntimeError(f"unsupported statement: {type(stmt).__name__}")
+            closure = compile_block(block, self._code)
+        else:
+            closure = entry[1]
+        signal = yield from closure(self, goroutine, env)
+        return signal
+
+    def exec_stmt(self, goroutine: Goroutine, stmt: ast.Stmt, env: Environment) -> Generator:
+        entry = self._code.get(id(stmt))
+        if entry is None or entry[0] is not stmt:
+            from repro.runtime.compiler import compile_stmt
+
+            closure = compile_stmt(stmt, self._code)
+        else:
+            closure = entry[1]
+        signal = yield from closure(self, goroutine, env)
+        return signal
 
     # -- assignments --------------------------------------------------------------------
-
-    def exec_assign(self, goroutine: Goroutine, stmt: ast.AssignStmt,
-                    env: Environment) -> Generator:
-        if stmt.tok not in ("=", ":="):
-            # Augmented assignment: x op= y.
-            op = stmt.tok[:-1]
-            current = yield from self.eval_expr(goroutine, stmt.lhs[0], env)
-            operand = yield from self.eval_expr(goroutine, stmt.rhs[0], env)
-            value = _binary_op(op, current, operand)
-            yield from self.assign_to(goroutine, stmt.lhs[0], value, env, define=False)
-            return
-        values = yield from self._eval_rhs(goroutine, stmt.rhs, len(stmt.lhs), env)
-        define = stmt.tok == ":="
-        for target, value in zip(stmt.lhs, values):
-            yield from self.assign_to(goroutine, target, value, env, define=define)
 
     def _eval_rhs(self, goroutine: Goroutine, rhs: List[ast.Expr], n_targets: int,
                   env: Environment) -> Generator:
@@ -592,37 +559,7 @@ class Interpreter:
                 cell = env.declare(name, value)
                 cell.name = name
 
-    def exec_incdec(self, goroutine: Goroutine, stmt: ast.IncDecStmt,
-                    env: Environment) -> Generator:
-        current = yield from self.eval_expr(goroutine, stmt.x, env)
-        delta = 1 if stmt.op == "++" else -1
-        yield from self.assign_to(goroutine, stmt.x, (current or 0) + delta, env, define=False)
-
     # -- concurrency statements ----------------------------------------------------------
-
-    def exec_go(self, goroutine: Goroutine, stmt: ast.GoStmt, env: Environment) -> Generator:
-        callee = yield from self.eval_expr(goroutine, stmt.call.fun, env)
-        args: List[Any] = []
-        for arg in stmt.call.args:
-            value = yield from self.eval_expr(goroutine, arg, env)
-            args.append(self._pass_value(value))
-        self.spawn(goroutine, callee, args, stmt)
-        yield STEP
-
-    def exec_defer(self, goroutine: Goroutine, stmt: ast.DeferStmt,
-                   env: Environment) -> Generator:
-        callee = yield from self.eval_expr(goroutine, stmt.call.fun, env)
-        args: List[Any] = []
-        for arg in stmt.call.args:
-            value = yield from self.eval_expr(goroutine, arg, env)
-            args.append(self._pass_value(value))
-        goroutine.stack[-1].push_deferred((callee, args))
-
-    def exec_send(self, goroutine: Goroutine, stmt: ast.SendStmt,
-                  env: Environment) -> Generator:
-        channel = yield from self.eval_expr(goroutine, stmt.chan, env)
-        value = yield from self.eval_expr(goroutine, stmt.value, env)
-        yield from self.channel_send(goroutine, channel, value, stmt)
 
     def channel_send(self, goroutine: Goroutine, channel: Any, value: Any,
                      node: Optional[ast.Node]) -> Generator:
@@ -649,82 +586,6 @@ class Interpreter:
         return value, ok
 
     # -- structured statements -----------------------------------------------------------
-
-    def exec_if(self, goroutine: Goroutine, stmt: ast.IfStmt, env: Environment) -> Generator:
-        scope = env.child()
-        if stmt.init is not None:
-            yield from self.exec_stmt(goroutine, stmt.init, scope)
-        cond = yield from self.eval_expr(goroutine, stmt.cond, scope)
-        if is_truthy(cond):
-            signal = yield from self.exec_block(goroutine, stmt.body, scope)
-            return signal
-        if stmt.else_ is not None:
-            signal = yield from self.exec_stmt(goroutine, stmt.else_, scope)
-            return signal
-        return None
-
-    def exec_for(self, goroutine: Goroutine, stmt: ast.ForStmt, env: Environment) -> Generator:
-        label = getattr(stmt, "_label", None)
-        scope = env.child()
-        if stmt.init is not None:
-            yield from self.exec_stmt(goroutine, stmt.init, scope)
-        while True:
-            if stmt.cond is not None:
-                cond = yield from self.eval_expr(goroutine, stmt.cond, scope)
-                if not is_truthy(cond):
-                    return None
-            signal = yield from self.exec_block(goroutine, stmt.body, scope)
-            if isinstance(signal, BreakSignal):
-                if signal.label is None or signal.label == label:
-                    return None
-                return signal
-            if isinstance(signal, ContinueSignal):
-                if signal.label is not None and signal.label != label:
-                    return signal
-            elif isinstance(signal, Signal):
-                return signal
-            if stmt.post is not None:
-                yield from self.exec_stmt(goroutine, stmt.post, scope)
-            yield STEP
-
-    def exec_range(self, goroutine: Goroutine, stmt: ast.RangeStmt,
-                   env: Environment) -> Generator:
-        label = getattr(stmt, "_label", None)
-        scope = env.child()
-        container = yield from self.eval_expr(goroutine, stmt.x, env)
-        # Loop variables have per-loop scope (Go <= 1.21); see module docstring.
-        key_cell: Optional[Cell] = None
-        value_cell: Optional[Cell] = None
-        if stmt.tok == ":=":
-            if isinstance(stmt.key, ast.Ident) and stmt.key.name != "_":
-                key_cell = scope.declare(stmt.key.name)
-            if isinstance(stmt.value, ast.Ident) and stmt.value.name != "_":
-                value_cell = scope.declare(stmt.value.name)
-
-        items = yield from self._range_items(goroutine, container, stmt)
-        for key, value in items:
-            if stmt.tok == ":=":
-                if key_cell is not None:
-                    yield from self.write_cell(goroutine, key_cell, key, stmt.key)
-                if value_cell is not None:
-                    yield from self.write_cell(goroutine, value_cell, self._pass_value(value), stmt.value)
-            else:
-                if stmt.key is not None:
-                    yield from self.assign_to(goroutine, stmt.key, key, scope, define=False)
-                if stmt.value is not None:
-                    yield from self.assign_to(goroutine, stmt.value, value, scope, define=False)
-            signal = yield from self.exec_block(goroutine, stmt.body, scope)
-            if isinstance(signal, BreakSignal):
-                if signal.label is None or signal.label == label:
-                    return None
-                return signal
-            if isinstance(signal, ContinueSignal):
-                if signal.label is not None and signal.label != label:
-                    return signal
-            elif isinstance(signal, Signal):
-                return signal
-            yield STEP
-        return None
 
     def _range_items(self, goroutine: Goroutine, container: Any,
                      stmt: ast.RangeStmt) -> Generator:
@@ -853,114 +714,80 @@ class Interpreter:
     # ------------------------------------------------------------------
 
     def eval_expr(self, goroutine: Goroutine, expr: ast.Expr, env: Environment) -> Generator:
-        value = yield from self.eval_expr_multi(goroutine, expr, env, 1)
-        return value[0] if isinstance(value, list) else value
+        entry = self._code.get(id(expr))
+        if entry is None or entry[0] is not expr:
+            from repro.runtime.compiler import compile_expr
+
+            closure = compile_expr(expr, self._code)
+        else:
+            closure = entry[1]
+        result = yield from closure(self, goroutine, env)
+        return result
 
     def eval_expr_multi(self, goroutine: Goroutine, expr: ast.Expr, env: Environment,
                         n_targets: int) -> Generator:
-        """Evaluate ``expr``; when ``n_targets > 1`` comma-ok forms and
-        multi-value calls return a list of that many values."""
-        if isinstance(expr, ast.Ident):
-            value = yield from self._eval_ident(goroutine, expr, env)
-        elif isinstance(expr, ast.BasicLit):
-            value = _literal_value(expr)
-        elif isinstance(expr, ast.SelectorExpr):
-            value = yield from self._eval_selector(goroutine, expr, env)
-        elif isinstance(expr, ast.CallExpr):
-            value = yield from self.eval_call(goroutine, expr, env)
-        elif isinstance(expr, ast.BinaryExpr):
-            value = yield from self._eval_binary(goroutine, expr, env)
-        elif isinstance(expr, ast.UnaryExpr):
-            result = yield from self._eval_unary(goroutine, expr, env, n_targets)
-            return result
-        elif isinstance(expr, ast.StarExpr):
-            value = yield from self._eval_deref(goroutine, expr, env)
-        elif isinstance(expr, ast.ParenExpr):
-            result = yield from self.eval_expr_multi(goroutine, expr.x, env, n_targets)
-            return result
-        elif isinstance(expr, ast.IndexExpr):
-            result = yield from self._eval_index(goroutine, expr, env, n_targets)
-            return result
-        elif isinstance(expr, ast.SliceExpr):
-            value = yield from self._eval_slice_expr(goroutine, expr, env)
-        elif isinstance(expr, ast.CompositeLit):
-            value = yield from self._eval_composite(goroutine, expr, env)
-        elif isinstance(expr, ast.FuncLit):
-            value = self._make_closure(goroutine, expr, env)
-        elif isinstance(expr, ast.TypeAssertExpr):
-            inner = yield from self.eval_expr(goroutine, expr.x, env)
-            if n_targets > 1:
-                return [inner, inner is not None]
-            value = inner
-        elif isinstance(expr, (ast.ArrayType, ast.MapType, ast.ChanType, ast.StructType,
-                               ast.InterfaceType, ast.FuncType, ast.Ellipsis)):
-            value = TypeValue(expr=expr)
-        elif isinstance(expr, ast.KeyValueExpr):
-            value = yield from self.eval_expr(goroutine, expr.value, env)
-        else:
-            raise GoRuntimeError(f"unsupported expression: {type(expr).__name__}")
-        if n_targets > 1:
-            if isinstance(value, TupleValue):
-                values = list(value.values)
-                while len(values) < n_targets:
-                    values.append(None)
-                return values
-            return [value] + [None] * (n_targets - 1)
-        if isinstance(value, TupleValue) and value.values:
-            return value
-        return value
+        """Evaluate ``expr`` for ``n_targets`` assignment targets.
 
-    def _eval_ident(self, goroutine: Goroutine, expr: ast.Ident, env: Environment) -> Generator:
-        name = expr.name
-        if name == "nil":
-            return None
-        if name == "true":
-            return True
-        if name == "false":
-            return False
-        if name == "_":
-            return None
-        cell = env.lookup(name)
-        if cell is not None:
-            value = yield from self.read_cell(goroutine, cell, expr)
-            return value
-        if name in self.funcs:
-            return FuncValue(decl=self.funcs[name], name=name)
-        if name in self.types:
-            return TypeValue(expr=ast.Ident(name=name), name=name)
-        if name in _NUMERIC_TYPES or name in ("string", "bool", "error", "any", "float32", "float64"):
-            return TypeValue(expr=ast.Ident(name=name), name=name)
-        if stdlib.is_package(name) or self._is_imported(name):
-            return PackageRef(name=name)
-        raise GoRuntimeError(f"undefined: {name}")
+        One target takes the plain value.  For more, the comma-ok forms (map
+        or slice index, channel receive, type assertion) return ``[value,
+        ok]``, other unary expressions ``[value, None]``, and any other
+        expression spreads a multi-value result (or pads a single value with
+        ``None``) to ``n_targets`` values."""
+        if n_targets == 1:
+            result = yield from self.eval_expr(goroutine, expr, env)
+            return result
+        while isinstance(expr, ast.ParenExpr):
+            expr = expr.x
+        if isinstance(expr, ast.IndexExpr):
+            result = yield from self._eval_index_ok(goroutine, expr, env)
+            return result
+        if isinstance(expr, ast.UnaryExpr):
+            if expr.op == "<-":
+                channel = yield from self.eval_expr(goroutine, expr.x, env)
+                value, ok = yield from self.channel_recv(goroutine, channel, expr)
+                return [value, ok]
+            value = yield from self.eval_expr(goroutine, expr, env)
+            return [value, None]
+        if isinstance(expr, ast.TypeAssertExpr):
+            inner = yield from self.eval_expr(goroutine, expr.x, env)
+            return [inner, inner is not None]
+        value = yield from self.eval_expr(goroutine, expr, env)
+        if isinstance(value, TupleValue):
+            values = list(value.values)
+            while len(values) < n_targets:
+                values.append(None)
+            return values
+        return [value] + [None] * (n_targets - 1)
+
+    def _eval_index_ok(self, goroutine: Goroutine, expr: ast.IndexExpr,
+                       env: Environment) -> Generator:
+        """``v, ok := x[i]``: the element and whether it is present."""
+        container = yield from self.eval_expr(goroutine, expr.x, env)
+        key = yield from self.eval_expr(goroutine, expr.index, env)
+        if isinstance(container, MapValue):
+            yield from self.read_cell(goroutine, container.location, expr)
+            key = _map_key(key)
+            return [container.entries.get(key), key in container.entries]
+        if isinstance(container, SyncMap):
+            value, present = container.load(_map_key(key))
+            return [value, present]
+        if isinstance(container, SliceValue):
+            index = int(key)
+            if index < 0 or index >= len(container.elements):
+                raise GoPanic(
+                    f"runtime error: index out of range [{index}] with length {len(container.elements)}"
+                )
+            value = yield from self.read_cell(goroutine, container.elements[index], expr)
+            return [value, True]
+        if isinstance(container, str):
+            return [container[int(key)], True]
+        if container is None:
+            # Reading from a nil map yields the zero value.
+            return [None, False]
+        raise GoRuntimeError(f"cannot index {format_value(container)}")
 
     def _is_imported(self, name: str) -> bool:
         return name in self._imported_names
-
-    def _eval_selector(self, goroutine: Goroutine, expr: ast.SelectorExpr,
-                       env: Environment) -> Generator:
-        # Package-qualified references never touch program memory.
-        if isinstance(expr.x, ast.Ident) and env.lookup(expr.x.name) is None:
-            base_name = expr.x.name
-            if stdlib.is_package(base_name) or self._is_imported(base_name):
-                member = stdlib.get_member(base_name, expr.sel)
-                if member is not None:
-                    return member
-                return TypeValue(expr=expr, name=f"{base_name}.{expr.sel}")
-        base = yield from self.eval_expr(goroutine, expr.x, env)
-        return (yield from self._select_from(goroutine, base, expr))
-
-    def _select_from(self, goroutine: Goroutine, base: Any, expr: ast.SelectorExpr) -> Generator:
-        if isinstance(base, PointerValue):
-            target = base.target_struct()
-            if target is None and base.cell is not None:
-                base = base.cell.value
-            else:
-                base = target
-            if base is None:
-                raise GoPanic("invalid memory address or nil pointer dereference")
-        result = yield from self._select_from_value(goroutine, base, expr)
-        return result
 
     def _select_from_value(self, goroutine: Goroutine, base: Any,
                            expr: ast.SelectorExpr) -> Generator:
@@ -995,34 +822,6 @@ class Interpreter:
             raise GoPanic(f"invalid memory address or nil pointer dereference (selecting .{sel})")
         raise GoRuntimeError(f"cannot select .{sel} from {format_value(base)}")
 
-    def _eval_unary(self, goroutine: Goroutine, expr: ast.UnaryExpr, env: Environment,
-                    n_targets: int) -> Generator:
-        if expr.op == "<-":
-            channel = yield from self.eval_expr(goroutine, expr.x, env)
-            value, ok = yield from self.channel_recv(goroutine, channel, expr)
-            if n_targets > 1:
-                return [value, ok]
-            return value
-        if expr.op == "&":
-            value = yield from self._eval_address_of(goroutine, expr.x, env)
-            if n_targets > 1:
-                return [value, None]
-            return value
-        operand = yield from self.eval_expr(goroutine, expr.x, env)
-        if expr.op == "-":
-            result: Any = -(operand or 0)
-        elif expr.op == "+":
-            result = operand
-        elif expr.op == "!":
-            result = not is_truthy(operand)
-        elif expr.op == "^":
-            result = ~(operand or 0)
-        else:
-            raise GoRuntimeError(f"unsupported unary operator {expr.op}")
-        if n_targets > 1:
-            return [result, None]
-        return result
-
     def _eval_address_of(self, goroutine: Goroutine, target: ast.Expr,
                          env: Environment) -> Generator:
         if isinstance(target, ast.Ident):
@@ -1039,7 +838,7 @@ class Interpreter:
             owner = ast.base_name(target) or struct.type_name
             return PointerValue(cell=struct.field_cell(target.sel, owner_name=owner))
         if isinstance(target, ast.CompositeLit):
-            value = yield from self._eval_composite(goroutine, target, env)
+            value = yield from self.eval_expr(goroutine, target, env)
             if isinstance(value, StructValue):
                 return PointerValue(struct=value)
             return PointerValue(cell=Cell(value=value, name="composite"))
@@ -1051,74 +850,6 @@ class Interpreter:
             raise GoRuntimeError("cannot take address of map element")
         value = yield from self.eval_expr(goroutine, target, env)
         return PointerValue(cell=Cell(value=value, name="temp"))
-
-    def _eval_deref(self, goroutine: Goroutine, expr: ast.StarExpr,
-                    env: Environment) -> Generator:
-        pointer = yield from self.eval_expr(goroutine, expr.x, env)
-        if isinstance(pointer, PointerValue):
-            if pointer.cell is not None:
-                value = yield from self.read_cell(goroutine, pointer.cell, expr)
-                return value
-            if pointer.struct is not None:
-                return pointer.struct
-        if pointer is None:
-            raise GoPanic("invalid memory address or nil pointer dereference")
-        # Dereferencing a non-pointer (e.g. generic code) degrades to identity.
-        return pointer
-
-    def _eval_binary(self, goroutine: Goroutine, expr: ast.BinaryExpr,
-                     env: Environment) -> Generator:
-        if expr.op == "&&":
-            left = yield from self.eval_expr(goroutine, expr.x, env)
-            if not is_truthy(left):
-                return False
-            right = yield from self.eval_expr(goroutine, expr.y, env)
-            return is_truthy(right)
-        if expr.op == "||":
-            left = yield from self.eval_expr(goroutine, expr.x, env)
-            if is_truthy(left):
-                return True
-            right = yield from self.eval_expr(goroutine, expr.y, env)
-            return is_truthy(right)
-        left = yield from self.eval_expr(goroutine, expr.x, env)
-        right = yield from self.eval_expr(goroutine, expr.y, env)
-        return _binary_op(expr.op, left, right)
-
-    def _eval_index(self, goroutine: Goroutine, expr: ast.IndexExpr, env: Environment,
-                    n_targets: int) -> Generator:
-        container = yield from self.eval_expr(goroutine, expr.x, env)
-        key = yield from self.eval_expr(goroutine, expr.index, env)
-        if isinstance(container, MapValue):
-            value_found = yield from self.read_cell(goroutine, container.location, expr)
-            del value_found
-            key = _map_key(key)
-            present = key in container.entries
-            value = container.entries.get(key)
-            if n_targets > 1:
-                return [value, present]
-            return value
-        if isinstance(container, SyncMap):
-            value, present = container.load(_map_key(key))
-            if n_targets > 1:
-                return [value, present]
-            return value
-        if isinstance(container, SliceValue):
-            index = int(key)
-            if index < 0 or index >= len(container.elements):
-                raise GoPanic(
-                    f"runtime error: index out of range [{index}] with length {len(container.elements)}"
-                )
-            value = yield from self.read_cell(goroutine, container.elements[index], expr)
-            if n_targets > 1:
-                return [value, True]
-            return value
-        if isinstance(container, str):
-            value = container[int(key)]
-            return [value, True] if n_targets > 1 else value
-        if container is None:
-            # Reading from a nil map yields the zero value.
-            return [None, False] if n_targets > 1 else None
-        raise GoRuntimeError(f"cannot index {format_value(container)}")
 
     def _eval_slice_expr(self, goroutine: Goroutine, expr: ast.SliceExpr,
                          env: Environment) -> Generator:
@@ -1149,43 +880,6 @@ class Interpreter:
         return FuncValue(lit=expr, env=env, name=f"{enclosing}.func{counter}", file=file_name)
 
     # -- composite literals --------------------------------------------------------------
-
-    def _eval_composite(self, goroutine: Goroutine, expr: ast.CompositeLit,
-                        env: Environment) -> Generator:
-        type_expr = expr.type_
-        resolved = self._resolve_type(type_expr)
-        # `sync.Mutex{}`, `sync.Map{}` etc. materialize the primitive directly.
-        sync_value = _sync_zero(type_expr) or _sync_zero(resolved)
-        if sync_value is not None:
-            return sync_value
-        if isinstance(resolved, ast.ArrayType):
-            cells = []
-            for elt in expr.elts:
-                value = yield from self.eval_expr(goroutine, elt, env)
-                cells.append(Cell(value=self._pass_value(value)))
-            return SliceValue(elements=cells, name=_type_display(type_expr))
-        if isinstance(resolved, ast.MapType):
-            result = MapValue(name=_type_display(type_expr))
-            for elt in expr.elts:
-                if isinstance(elt, ast.KeyValueExpr):
-                    key = yield from self.eval_expr(goroutine, elt.key, env)
-                    value = yield from self.eval_expr(goroutine, elt.value, env)
-                    result.entries[_map_key(key)] = self._pass_value(value)
-            return result
-        # Struct literal (named, qualified, or anonymous).
-        struct = self._new_struct(type_expr)
-        positional_index = 0
-        declared_fields = _struct_field_names(resolved)
-        for elt in expr.elts:
-            if isinstance(elt, ast.KeyValueExpr) and isinstance(elt.key, ast.Ident):
-                value = yield from self.eval_expr(goroutine, elt.value, env)
-                struct.field_cell(elt.key.name).value = self._pass_value(value)
-            else:
-                value = yield from self.eval_expr(goroutine, elt, env)
-                if positional_index < len(declared_fields):
-                    struct.field_cell(declared_fields[positional_index]).value = self._pass_value(value)
-                positional_index += 1
-        return struct
 
     def _resolve_type(self, type_expr: ast.Expr | None) -> ast.Expr | None:
         """Follow named types to their underlying definition (one level deep chains)."""
@@ -1231,27 +925,6 @@ class Interpreter:
     # ------------------------------------------------------------------
     # Calls
     # ------------------------------------------------------------------
-
-    def eval_call(self, goroutine: Goroutine, expr: ast.CallExpr, env: Environment) -> Generator:
-        fun = expr.fun
-        if isinstance(fun, ast.Ident) and env.lookup(fun.name) is None:
-            builtin = _BUILTIN_HANDLERS.get(fun.name)
-            if builtin is not None:
-                result = yield from builtin(self, goroutine, expr, env)
-                return result
-        callee = yield from self.eval_expr(goroutine, fun, env)
-        args: List[Any] = []
-        for arg in expr.args:
-            value = yield from self.eval_expr(goroutine, arg, env)
-            if isinstance(value, TupleValue) and len(expr.args) == 1:
-                args.extend(value.values)
-            else:
-                args.append(value)
-        if expr.ellipsis and args and isinstance(args[-1], SliceValue):
-            spread = args.pop()
-            args.extend(cell.value for cell in spread.elements)
-        result = yield from self._invoke(goroutine, callee, args, expr)
-        return result
 
     def call_bound_method(self, goroutine: Goroutine, bound: BoundMethod, args: List[Any],
                           node: Optional[ast.Node]) -> Generator:

@@ -18,11 +18,11 @@ Fast paths mirror FastTrack's: a repeated read by the owning goroutine updates
 the read epoch in place (no dict or clock allocation), and a write updates the
 write epoch in place (no ``Epoch``/``VectorClock`` objects are allocated per
 access, and clearing the read state never copies records).  One deliberate
-deviation from the letter of the paper keeps the engine bit-identical to the
-reference tree-walk: access *records* (stack snapshots used for ThreadSanitizer
--style reports) are refreshed even on same-epoch accesses, because a later
-race must report the most recent conflicting source line, exactly as the
-pre-FastTrack detector did.
+deviation from the letter of the paper keeps reports bit-identical to the
+pre-FastTrack detector's (and to the engine golden): access *records* (stack
+snapshots used for ThreadSanitizer-style reports) are refreshed even on
+same-epoch accesses, because a later race must report the most recent
+conflicting source line.
 
 On detecting a race the detector records a :class:`RaceRecord` with both
 access snapshots (goroutine id, read/write, call stack) which the harness then

@@ -197,7 +197,7 @@ class ScheduleClassRegistry:
     """Process-wide (index key → :class:`ScheduleClassIndex`), bounded LRU.
 
     The key is the harness's (package fingerprint, seed, max_steps, policies,
-    engine, slicing, entries) tuple, so an index is shared exactly by
+    slicing, entries) tuple, so an index is shared exactly by
     invocations that would replay one another's schedules — the repeated-run
     validation workload — and never across configurations that explore
     different spaces.

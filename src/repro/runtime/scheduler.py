@@ -310,49 +310,6 @@ class Scheduler:
                 return
             if len(live) > stats.max_live_goroutines:
                 stats.max_live_goroutines = len(live)
-            if len(live) == 1 and live[0].state is RUNNABLE:
-                # Single-goroutine fast path (program prologues/epilogues):
-                # the scan and pick below would trivially select it.  The
-                # advance/PCT tail is deliberately duplicated from the
-                # general path below — a shared helper would reintroduce the
-                # per-step call overhead this loop exists to remove; keep the
-                # two copies in lockstep when changing either.
-                if stats.steps >= max_steps:
-                    raise GoRuntimeError(
-                        f"scheduler step budget exhausted after {stats.steps} steps"
-                    )
-                goroutine = live[0]
-                if goroutine.gid != self._last_gid:
-                    stats.context_switches += 1
-                self._last_gid = goroutine.gid
-                stats.steps += 1
-                goroutine.steps += 1
-                goroutine.block_point = None
-                try:
-                    point = next(goroutine.generator)
-                except StopIteration as stop:
-                    goroutine.state = GoroutineState.DONE
-                    goroutine.result = stop.value
-                    live.remove(goroutine)
-                    point = None
-                except GoRuntimeError as exc:
-                    goroutine.state = GoroutineState.FAILED
-                    goroutine.failure = exc
-                    self.failures.append(exc)
-                    live.remove(goroutine)
-                    point = None
-                if isinstance(point, SchedulePoint) and point.kind == "block":
-                    goroutine.state = BLOCKED
-                    goroutine.block_point = point
-                if is_pct:
-                    offset = stats.steps - self._pct_window_start
-                    if offset in self._pct_change_points:
-                        self._pct_low -= 1.0
-                        self._pct_priorities[goroutine.gid] = self._pct_low
-                    if offset >= self.pct_horizon:
-                        self._pct_window_start += self.pct_horizon
-                        self._pct_change_points = self._sample_change_points()
-                continue
             runnable = []
             for g in live:
                 state = g.state

@@ -176,7 +176,6 @@ def execute_detect(request: ServiceRequest, config: DrFixConfig) -> Dict[str, An
         runs=request.runs,
         seed=request.seed,
         jobs=config.harness_jobs,
-        engine=config.engine or None,
         slicing=config.slicing or None,
         dedup=config.dedup or None,
         saturation_after=config.saturation_after,
@@ -197,7 +196,6 @@ def execute_fix(request: ServiceRequest, config: DrFixConfig,
         runs=request.runs,
         seed=request.seed,
         jobs=config.harness_jobs,
-        engine=config.engine or None,
         slicing=config.slicing or None,
         dedup=config.dedup or None,
         saturation_after=config.saturation_after,

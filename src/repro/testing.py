@@ -1,17 +1,16 @@
-"""Shared helpers for the engine-equivalence test suites.
+"""Shared helpers for the corpus-wide equivalence test suites.
 
-Both corpus-wide differential suites — compiled ≡ tree
-(``tests/runtime/test_compiled_engine_differential.py``) and slicing ON ≡ OFF
-(``tests/runtime/test_slicing_equivalence.py``) — sweep every template through
-the harness and compare the full observable outcome.  The sweep plumbing
-lives here so the two suites (and any future engine-mode comparison) state
-only what differs between their arms.
+The engine golden (``tests/runtime/test_engine_golden.py``), slicing ON ≡ OFF
+(``tests/runtime/test_slicing_equivalence.py``) and dedup ON ≡ OFF suites
+sweep every template through the harness and compare the observable outcome
+against a recorded golden or the other arm.  The sweep plumbing lives here so
+each suite states only what differs between its arms.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Dict, Optional, Sequence
+from typing import Dict, Sequence
 
 from repro.runtime import memory
 from repro.runtime.harness import GoPackage, run_package_tests
@@ -24,8 +23,8 @@ ALL_POLICIES = tuple(SchedulerPolicy)
 def reset_addresses() -> None:
     """Reset the process-global cell-address counter.
 
-    Addresses appear in rendered race reports; comparing two engine sweeps
-    bit-for-bit requires each sweep to start from the same counter so that
+    Addresses appear in rendered race reports; comparing two sweeps (or a
+    sweep and a recorded golden) bit-for-bit requires each sweep to start from the same counter so that
     identical allocation *order* yields identical addresses.
     """
     memory._address_counter = itertools.count(0xC000000000, 0x10)
@@ -34,7 +33,6 @@ def reset_addresses() -> None:
 def run_outcome(
     package: GoPackage,
     seed: int,
-    engine: Optional[str] = None,
     policies: Sequence[SchedulerPolicy] = ALL_POLICIES,
     runs: int = 5,
     slicing: "bool | str | None" = None,
@@ -49,7 +47,7 @@ def run_outcome(
     leaving every observable identical.
     """
     result = run_package_tests(
-        package, runs=runs, seed=seed, engine=engine, policies=policies,
+        package, runs=runs, seed=seed, policies=policies,
         slicing=slicing, dedup=dedup,
     )
     return {
@@ -65,7 +63,6 @@ def run_outcome(
 def detection_outcome(
     package: GoPackage,
     seed: int,
-    engine: Optional[str] = None,
     policies: Sequence[SchedulerPolicy] = ALL_POLICIES,
     runs: int = 5,
     slicing: "bool | str | None" = None,
@@ -87,7 +84,7 @@ def detection_outcome(
       interleavings exactly as they vary from one seed to the next.
     """
     result = run_package_tests(
-        package, runs=runs, seed=seed, engine=engine, policies=policies,
+        package, runs=runs, seed=seed, policies=policies,
         slicing=slicing, dedup=dedup, saturation_after=saturation_after,
     )
     return {

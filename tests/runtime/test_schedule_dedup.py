@@ -43,7 +43,7 @@ def _sweep(cases, mode, seeds, runs):
     reset_addresses()
     return [
         (case.case_id, seed,
-         detection_outcome(case.package, seed, "compiled", runs=runs, dedup=mode))
+         detection_outcome(case.package, seed, runs=runs, dedup=mode))
         for case in cases
         for seed in seeds
     ]

@@ -4,8 +4,8 @@ Slice-aware instrumentation elides schedule points (and detector hooks) on
 provably single-goroutine accesses, so an ON run draws fewer seeded scheduler
 choices than an OFF run — the two modes explore *different* interleavings for
 the same seed.  Per-seed bit-identical rendered reports are therefore
-impossible by construction (that bar is owned by the tree-vs-compiled
-differential, where slicing is forced OFF).  What slicing must preserve —
+impossible by construction (that bar is owned by the engine golden, where
+slicing is forced OFF).  What slicing must preserve —
 and what this suite enforces, deterministically, across every template, the
 mutation corpus, and all five scheduler policies — is the detection contract
 the validator consumes:
@@ -45,7 +45,7 @@ def _sweep(cases, mode, seeds, runs):
     reset_addresses()
     return [
         (case.case_id, seed,
-         detection_outcome(case.package, seed, "compiled", runs=runs, slicing=mode))
+         detection_outcome(case.package, seed, runs=runs, slicing=mode))
         for case in cases
         for seed in seeds
     ]
@@ -142,17 +142,3 @@ class TestSlicingSelection:
         with pytest.raises(ConfigError) as resolver_err:
             resolve_slicing("fast")
         assert str(config_err.value) == str(resolver_err.value)
-
-    def test_engine_env_failure_matches_config_message(self, monkeypatch):
-        """DRFIX_ENGINE=warp fails fast with the config-validation wording."""
-        from repro.core.config import DrFixConfig
-        from repro.errors import ConfigError
-        from repro.execution import ENGINE_ENV_VAR, resolve_engine
-
-        with pytest.raises(ConfigError) as config_err:
-            DrFixConfig(engine="warp").validated()
-        monkeypatch.setenv(ENGINE_ENV_VAR, "warp")
-        with pytest.raises(ConfigError) as env_err:
-            resolve_engine()
-        assert str(config_err.value) == str(env_err.value)
-        assert "(expected tree or compiled)" in str(env_err.value)

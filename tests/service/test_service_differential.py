@@ -63,7 +63,7 @@ def direct_detect(case, config):
     SCHEDULE_CLASS_REGISTRY.clear()
     result = run_package_tests(
         case.package, runs=RUNS, seed=0,
-        jobs=config.harness_jobs, engine=config.engine or None,
+        jobs=config.harness_jobs,
     )
     SCHEDULE_CLASS_REGISTRY.clear()
     return normalize_addresses(detect_payload(case.package, result))
@@ -75,7 +75,7 @@ def direct_fix(case, config, database):
     SCHEDULE_CLASS_REGISTRY.clear()
     detection = run_package_tests(
         case.package, runs=RUNS, seed=0,
-        jobs=config.harness_jobs, engine=config.engine or None,
+        jobs=config.harness_jobs,
     )
     results = []
     if detection.built:
