@@ -142,11 +142,12 @@ def _result_outcome(result) -> Dict[str, object]:
     }
 
 
-def corpus_rows() -> List[Dict[str, object]]:
-    dataset = CorpusGenerator(CorpusConfig()).generate()
+def corpus_rows(dataset=None, seeds=SEEDS) -> List[Dict[str, object]]:
+    if dataset is None:
+        dataset = CorpusGenerator(CorpusConfig()).generate()
     rows = []
     for case in dataset.evaluation + dataset.db_examples:
-        for seed in SEEDS:
+        for seed in seeds:
             reset_addresses()
             outcome = run_outcome(case.package, seed, slicing="off")
             rows.append(_row(f"{case.case_id}@{seed}", outcome))
@@ -164,19 +165,25 @@ def mutant_rows() -> List[Dict[str, object]]:
     return rows
 
 
+#: Golden row id -> (package, harness arguments), in golden-file order.
+PACKAGES = {
+    "broken": (BROKEN, dict(runs=2)),
+    "entry": (ENTRY, dict(runs=3, entry_functions=["Bump"])),
+    "padding": (PADDING, dict(runs=2)),
+    "comma_ok": (COMMA_OK, dict(runs=4)),
+}
+
+
+def package_run(name: str):
+    """Run one hand-written package; return its golden row and the result."""
+    package, kwargs = PACKAGES[name]
+    reset_addresses()
+    result = run_package_tests(package, slicing="off", **kwargs)
+    return _row(name, _result_outcome(result)), result
+
+
 def package_rows() -> List[Dict[str, object]]:
-    runs = (
-        ("broken", BROKEN, dict(runs=2)),
-        ("entry", ENTRY, dict(runs=3, entry_functions=["Bump"])),
-        ("padding", PADDING, dict(runs=2)),
-        ("comma_ok", COMMA_OK, dict(runs=4)),
-    )
-    rows = []
-    for name, package, kwargs in runs:
-        reset_addresses()
-        result = run_package_tests(package, slicing="off", **kwargs)
-        rows.append(_row(name, _result_outcome(result)))
-    return rows
+    return [package_run(name)[0] for name in PACKAGES]
 
 
 def record() -> Dict[str, object]:
@@ -188,6 +195,16 @@ def golden() -> Dict[str, object]:
     return json.loads(GOLDEN.read_text(encoding="utf-8"))
 
 
+@pytest.fixture(scope="module")
+def dataset():
+    return CorpusGenerator(CorpusConfig()).generate()
+
+
+def _golden_package(golden, name: str) -> Dict[str, object]:
+    (row,) = [row for row in golden["packages"] if row["id"] == name]
+    return row
+
+
 def _assert_rows_match(actual, expected) -> None:
     assert [row["id"] for row in actual] == [row["id"] for row in expected], (
         "row set differs from the golden; re-record only after an intended change"
@@ -197,9 +214,12 @@ def _assert_rows_match(actual, expected) -> None:
 
 
 class TestEngineGolden:
-    def test_full_corpus_matches_golden_across_policies_and_seeds(self, golden):
-        """Every template × seed × all five scheduler policies."""
-        _assert_rows_match(corpus_rows(), golden["corpus"])
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_full_corpus_matches_golden_across_policies_and_seeds(self, golden, dataset, seed):
+        """Every template × all five scheduler policies, one seed at a time."""
+        expected = [row for row in golden["corpus"] if row["id"].rsplit("@", 1)[1] == str(seed)]
+        assert len(expected) * len(SEEDS) == len(golden["corpus"])
+        _assert_rows_match(corpus_rows(dataset, seeds=(seed,)), expected)
 
     def test_mutant_corpus_matches_golden(self, golden):
         """≥30 mutation-engine cases (renames, reorders, workload and channel
@@ -208,14 +228,32 @@ class TestEngineGolden:
         assert len(golden["mutants"]) >= 30
         _assert_rows_match(mutant_rows(), golden["mutants"])
 
-    def test_hand_written_packages_match_golden(self, golden):
-        _assert_rows_match(package_rows(), golden["packages"])
-        broken = run_package_tests(BROKEN, runs=2)
-        assert broken.build_errors  # the broken package really failed to build
-        padded = run_package_tests(PADDING, runs=2)
-        assert not padded.test_failures  # extra padded to nil
-        assert padded.output == ["1 true <nil>"] * padded.runs
-        assert golden["packages"][-1]["races"]  # the comma-ok map read races
+    def test_hand_written_rows_are_all_checked(self, golden):
+        assert [row["id"] for row in golden["packages"]] == list(PACKAGES)
+
+    def test_build_error_matches_golden(self, golden):
+        row, result = package_run("broken")
+        assert result.build_errors  # the broken package really failed to build
+        assert row == _golden_package(golden, "broken")
+
+    def test_entry_function_matches_golden(self, golden):
+        row, result = package_run("entry")
+        assert result.output == ["3"] * result.runs and not result.test_failures
+        assert row == _golden_package(golden, "entry")
+
+    def test_overlong_comma_ok_targets_pad_with_nil(self, golden):
+        """``v, ok, extra := m[k]`` declares ``extra`` as nil (regression: a
+        spread branch once skipped the padding, leaving it undeclared)."""
+        row, result = package_run("padding")
+        assert not result.test_failures
+        assert result.output == ["1 true <nil>"] * result.runs
+        assert row == _golden_package(golden, "padding")
+
+    def test_racy_comma_ok_forms_match_golden(self, golden):
+        row, result = package_run("comma_ok")
+        assert result.reports  # the comma-ok map read races the map write
+        assert not result.test_failures
+        assert row == _golden_package(golden, "comma_ok")
 
     def test_golden_rows_are_not_all_alike(self, golden):
         """The oracle exercises both racy and clean packages."""

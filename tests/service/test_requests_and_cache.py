@@ -1,10 +1,12 @@
 """Unit tests for the service request model, result cache, and metrics."""
 
+import dataclasses
+
 import pytest
 
 from repro.core.config import DrFixConfig
 from repro.errors import ConfigError
-from repro.fingerprint import config_fingerprint
+from repro.fingerprint import EXECUTION_ONLY_FIELDS, config_fingerprint
 from repro.runtime.harness import GoFile, GoPackage
 from repro.service import (
     DetectRequest,
@@ -67,6 +69,18 @@ class TestRequestModel:
 
         assert config_fingerprint(DrFixConfig()) == "d224bfd8ddd4be8f5971"
         assert store.config_fingerprint(DrFixConfig()) == "138ca3c2b350726aeca7"
+
+    def test_execution_only_fields_name_config_fields(self):
+        # A name left here after its knob is retired would exclude nothing.
+        names = {field.name for field in dataclasses.fields(DrFixConfig)}
+        assert EXECUTION_ONLY_FIELDS <= names
+
+    def test_retired_engine_knob_is_refused(self):
+        # Callers still passing the retired interpreter switch fail loudly
+        # instead of having it silently ignored.
+        assert "engine" not in {field.name for field in dataclasses.fields(DrFixConfig)}
+        with pytest.raises(TypeError):
+            DrFixConfig(**{"engine": "tree"})
 
 
 class TestWireParsing:

@@ -88,6 +88,17 @@ class TestCLI:
         for command in ("corpus", "detect", "fix", "evaluate", "serve", "version"):
             assert command in text
 
+    @pytest.mark.parametrize("command", ["detect", "fix", "serve"])
+    def test_no_subcommand_selects_an_interpreter(self, command, capsys):
+        # One interpreter runs every package; the retired engine switch must
+        # not come back on the commands that used to take it.
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args([command, "--help"])
+        assert excinfo.value.code == 0
+        text = capsys.readouterr().out
+        assert "--runs" in text
+        assert "engine" not in text
+
     def test_detect_reports_the_race(self, racy_dir, capsys):
         exit_code = main(["detect", str(racy_dir), "--runs", "10"])
         captured = capsys.readouterr().out
